@@ -27,14 +27,8 @@ PAPER_SMOKE_ARGS = -seed 1 -reps 1 \
 
 ci: vet lint build race
 
-# The explicit second vet keeps the serving, cluster, scenario and
-# incremental-evaluation layers in the gate even if the ./... pattern is
-# ever narrowed.
 vet:
 	$(GO) vet ./...
-	$(GO) vet ./internal/server ./internal/cluster ./internal/scenarios
-	$(GO) vet ./internal/wmn ./internal/spatial ./internal/localsearch ./internal/ga
-	$(GO) vet ./internal/lint ./cmd/wmnlint
 
 # Determinism & discipline linter (internal/lint + cmd/wmnlint, stdlib
 # go/ast only): globalrand (math/rand outside internal/rng), wallclock

@@ -3,7 +3,7 @@
 // the byte-identity tests stake their correctness on — no global
 // math/rand, no wall-clock reads on deterministic paths, no
 // order-dependent map iteration, no severed context chains, no naked
-// goroutines outside the pool/serving layers.
+// goroutines outside the fork-join/serving layers.
 //
 // Usage:
 //

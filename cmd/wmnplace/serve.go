@@ -20,7 +20,7 @@ import (
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
-	workers := fs.Int("workers", 0, "async solve workers (0 = one per CPU)")
+	workers := fs.Int("workers", 0, "size of the one worker pool that runs every solve, sync or async (0 = one per CPU)")
 	cache := fs.Int("cache", 256, "result-cache capacity in entries (0 disables)")
 	batch := fs.Int("batch", 0, "max computations coalesced per batch (0 = default)")
 	batchWait := fs.Duration("batchwait", 0, "max wait before a partial batch flushes (0 = default)")

@@ -444,3 +444,45 @@ func TestClusterEndpoint(t *testing.T) {
 		t.Errorf("cluster info = %+v", info)
 	}
 }
+
+// spaces is an endless reader of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestFrontDoorOversizedBodyIs413 streams a valid request body over HTTP
+// with chunked encoding (no Content-Length) exactly at the front door's
+// body limit, which is served, and one byte over it, which is rejected
+// with 413 rather than truncated into a 400.
+func TestFrontDoorOversizedBodyIs413(t *testing.T) {
+	c := newTestCluster(t, 1, nil)
+	body := solveReqBody(t, clusterInstance(t, 1), "adhoc", 1, "sync")
+	head := strings.TrimSuffix(body, "}")
+	defer func(limit int64) { maxBodyBytes = limit }(maxBodyBytes)
+	maxBodyBytes = int64(len(body)) + 1024
+
+	for _, tc := range []struct {
+		size int64
+		want int
+	}{{maxBodyBytes, http.StatusOK}, {maxBodyBytes + 1, http.StatusRequestEntityTooLarge}} {
+		stream := io.MultiReader(strings.NewReader(head), io.LimitReader(spaces{}, tc.size-int64(len(head))-1), strings.NewReader("}"))
+		req, err := http.NewRequest("POST", c.urls[0]+"/v1/solve", stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%d-byte body (limit %d) = %d, want %d (body %s)", tc.size, maxBodyBytes, resp.StatusCode, tc.want, msg)
+		}
+	}
+}

@@ -31,12 +31,22 @@ import (
 // Open replays the file into memory and truncates a torn or corrupt tail
 // (the records after the last intact one — the crash case where the
 // process died mid-append) instead of failing; everything before the tear
-// is served. Safe for concurrent use.
+// is served. A failed append is cut back off the file at once, so a tear
+// never hides the records appended after it. Safe for concurrent use.
 type Journal struct {
-	mu    sync.Mutex
-	f     *os.File
-	m     map[string][]byte
-	stats JournalStats
+	mu     sync.Mutex
+	f      journalFile
+	m      map[string][]byte
+	stats  JournalStats
+	end    int64 // just past the last good record; a failed append is cut back to it
+	halted bool  // a failed append could not be cut back: append no more
+}
+
+// journalFile is the part of *os.File the journal uses.
+type journalFile interface {
+	io.ReadWriteSeeker
+	Truncate(size int64) error
+	Close() error
 }
 
 // JournalStats describes a journal after Open and its growth since.
@@ -95,6 +105,7 @@ func OpenJournal(path string) (*Journal, error) {
 		}
 		j.stats.DiscardedBytes = size - good
 	}
+	j.end = good
 	j.stats.Entries = len(j.m)
 	return j, nil
 }
@@ -155,6 +166,9 @@ func (j *Journal) Put(key string, payload []byte) {
 	}
 	j.m[key] = payload
 	j.stats.Entries = len(j.m)
+	if j.halted {
+		return
+	}
 	rec := make([]byte, journalHeader+len(key)+len(payload)+4)
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(key)))
 	binary.LittleEndian.PutUint32(rec[4:8], uint32(len(payload)))
@@ -166,8 +180,13 @@ func (j *Journal) Put(key string, payload []byte) {
 		if j.stats.writeErr == nil {
 			j.stats.writeErr = err
 		}
+		// Cut off whatever part of rec reached the disk, so the records
+		// appended after it still replay; if that fails, stop appending.
+		_, err := j.f.Seek(j.end, io.SeekStart)
+		j.halted = err != nil || j.f.Truncate(j.end) != nil
 		return
 	}
+	j.end += int64(len(rec))
 	j.stats.Appended++
 }
 
@@ -179,7 +198,8 @@ func (j *Journal) Stats() JournalStats {
 }
 
 // Err returns the first append error, if any — in-memory serving continues
-// past it, but durability is lost from that point.
+// past it, but durability is lost from that point: the failed record is
+// not on disk, and if it could not be cut back, nothing after it is.
 func (j *Journal) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

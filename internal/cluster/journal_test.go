@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -118,6 +119,94 @@ func TestJournalCorruptRecordStopsReplay(t *testing.T) {
 	}
 	if _, ok := re.Get("second"); ok {
 		t.Error("corrupt record served")
+	}
+}
+
+// tearingFile is a journal file whose next Write puts half the record on
+// disk and then fails, as a full disk or an I/O error can; failTruncate
+// makes the recovery truncate fail too.
+type tearingFile struct {
+	*os.File
+	tear         bool
+	failTruncate bool
+}
+
+func (f *tearingFile) Write(p []byte) (int, error) {
+	if !f.tear {
+		return f.File.Write(p)
+	}
+	f.tear = false
+	n, _ := f.File.Write(p[:len(p)/2])
+	return n, errors.New("injected write failure")
+}
+
+func (f *tearingFile) Truncate(size int64) error {
+	if f.failTruncate {
+		return errors.New("injected truncate failure")
+	}
+	return f.File.Truncate(size)
+}
+
+// TestJournalFailedAppendKeepsLaterRecords is the write-fault contract: a
+// failed append that left half a record on disk is cut back off the file,
+// so a record acknowledged after it survives the next OpenJournal instead
+// of sitting behind a tear that replay truncates away.
+func TestJournalFailedAppendKeepsLaterRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fault.journal")
+	j := openTestJournal(t, path)
+	j.Put("alpha", []byte("payload-alpha"))
+	tf := &tearingFile{File: j.f.(*os.File), tear: true}
+	j.f = tf
+	j.Put("beta", []byte("payload-beta"))
+	if j.Err() == nil {
+		t.Fatal("failed append not reported by Err")
+	}
+	j.Put("gamma", []byte("payload-gamma"))
+	if b, ok := j.Get("beta"); !ok || string(b) != "payload-beta" {
+		t.Errorf("failed append dropped the in-memory copy: %q (ok=%v)", b, ok)
+	}
+	j.Close()
+
+	re := openTestJournal(t, path)
+	if st := re.Stats(); st.Replayed != 2 || st.DiscardedBytes != 0 {
+		t.Errorf("replay after a failed append = %+v, want 2 clean records", st)
+	}
+	for _, key := range []string{"alpha", "gamma"} {
+		if b, ok := re.Get(key); !ok || string(b) != "payload-"+key {
+			t.Errorf("%s after replay: %q (ok=%v)", key, b, ok)
+		}
+	}
+	if _, ok := re.Get("beta"); ok {
+		t.Error("the failed record replayed")
+	}
+}
+
+// TestJournalStopsAppendingWhenCutBackFails pins the fallback: when the
+// half-written record cannot be truncated away, the journal appends
+// nothing more behind it, and the next OpenJournal still serves every
+// record before the tear.
+func TestJournalStopsAppendingWhenCutBackFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "halt.journal")
+	j := openTestJournal(t, path)
+	j.Put("alpha", []byte("payload-alpha"))
+	j.f = &tearingFile{File: j.f.(*os.File), tear: true, failTruncate: true}
+	j.Put("beta", []byte("payload-beta"))
+	torn := fileSize(t, path)
+	j.Put("gamma", []byte("payload-gamma"))
+	if got := fileSize(t, path); got != torn {
+		t.Errorf("journal grew from %d to %d bytes behind an uncut tear", torn, got)
+	}
+	if b, ok := j.Get("gamma"); !ok || string(b) != "payload-gamma" {
+		t.Errorf("in-memory serving stopped: %q (ok=%v)", b, ok)
+	}
+	j.Close()
+
+	re := openTestJournal(t, path)
+	if st := re.Stats(); st.Replayed != 1 || st.DiscardedBytes == 0 {
+		t.Errorf("replay = %+v, want 1 record and a discarded tear", st)
+	}
+	if b, ok := re.Get("alpha"); !ok || string(b) != "payload-alpha" {
+		t.Errorf("alpha after replay: %q (ok=%v)", b, ok)
 	}
 }
 

@@ -25,8 +25,10 @@ const forwardedHeader = "X-Meshplace-Forwarded"
 const servedByHeader = "X-Served-By"
 
 // maxBodyBytes mirrors the serving layer's request-size bound: the front
-// door buffers bodies to hash-route them, so it enforces the same cap.
-const maxBodyBytes = 64 << 20
+// door buffers bodies to hash-route them, so it enforces the same cap
+// (413 past it). A variable only so tests can stream a body one byte past
+// a small bound.
+var maxBodyBytes int64 = 64 << 20
 
 // Config parameterizes a cluster Node.
 type Config struct {
@@ -216,7 +218,13 @@ func (n *Node) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			map[string]string{"error": fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+		return
+	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "read request: " + err.Error()})
 		return

@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // workerCount resolves the number of concurrent workers the config allows:
@@ -19,135 +19,35 @@ func (c Config) workerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Pool is a bounded worker pool: a fixed number of goroutines draining an
-// unbounded FIFO task queue. It backs every fan-out in this package via
-// ForEachIndexed and is reused by long-lived consumers (the placement
-// service's async job queue in internal/server) so the process has one
-// concurrency mechanism instead of ad hoc goroutines.
+// ForEachIndexed runs fn(i) for every i in [0, n) as a fork-join: the
+// caller and min(n, workers)-1 helper goroutines claim indices from a
+// shared counter until none are left, and the call returns only after
+// every claimed index has finished, so no goroutine outlives it. Each fn
+// writes its result into slot i of caller-owned storage, so merged output
+// is independent of scheduling; on failure the error with the lowest index
+// is returned, making failures as deterministic as successes regardless of
+// worker count. workers <= 1 runs every index on the calling goroutine.
 //
-// Submit never blocks on busy workers, so producers (e.g. HTTP handlers)
-// stay responsive while tasks queue up behind the worker bound.
-type Pool struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []func()
-	closed  bool
-	workers int
-	done    sync.WaitGroup // worker goroutines
-	tasks   sync.WaitGroup // submitted tasks not yet finished
-}
-
-// NewPool starts a pool of the given number of workers; 0 or negative
-// selects one per available CPU.
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p := &Pool{workers: workers}
-	p.cond = sync.NewCond(&p.mu)
-	p.done.Add(workers)
-	for w := 0; w < workers; w++ {
-		go p.worker()
-	}
-	return p
-}
-
-func (p *Pool) worker() {
-	defer p.done.Done()
-	for {
-		p.mu.Lock()
-		for len(p.queue) == 0 && !p.closed {
-			p.cond.Wait()
-		}
-		if len(p.queue) == 0 {
-			p.mu.Unlock()
-			return // closed and drained
-		}
-		task := p.queue[0]
-		p.queue = p.queue[1:]
-		p.mu.Unlock()
-		task()
-		p.tasks.Done()
-	}
-}
-
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
-// Submit enqueues a task and returns immediately; it reports false (and
-// drops the task) when the pool is closed.
-func (p *Pool) Submit(task func()) bool {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return false
-	}
-	p.tasks.Add(1)
-	p.queue = append(p.queue, task)
-	p.mu.Unlock()
-	p.cond.Signal()
-	return true
-}
-
-// Wait blocks until every task submitted so far has finished.
-func (p *Pool) Wait() { p.tasks.Wait() }
-
-// Close stops accepting tasks, drains the queue and waits for all workers
-// to exit. It is safe to call once all producers are done.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	p.closed = true
-	p.mu.Unlock()
-	p.cond.Broadcast()
-	p.done.Wait()
-}
-
-// ForEachIndexed runs fn(i) for every i in [0, n), fanning the calls
-// across a Pool of at most workers goroutines. Each fn writes its result
-// into slot i of caller-owned storage, so merged output is independent of
-// scheduling; on failure the error with the lowest index is returned,
-// making failures as deterministic as successes regardless of worker count.
+// No fn ever waits for a queue slot, so fan-outs nest freely: an inner
+// ForEachIndexed called from inside fn makes progress on its own caller.
 func ForEachIndexed(n, workers int, fn func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	p := NewPool(workers)
-	defer p.Close()
-	return ForEachIndexedOn(p, n, fn)
-}
-
-// ForEachIndexedOn is ForEachIndexed riding an existing pool instead of a
-// fresh one, for long-lived consumers (the placement server, the scenario
-// suite) that share one process-wide pool. It waits only for its own n
-// tasks — not for unrelated work submitted to the pool concurrently — and
-// keeps the lowest-index error rule, so output is byte-identical at any
-// worker count. A closed pool fails every remaining index.
-//
-// It must not be called from a task already running on the same pool: the
-// call blocks its worker until the submitted units finish, so nested use
-// shrinks the effective worker count and deadlocks outright at one worker
-// (the blocked worker is the only one that could drain the units). Nest
-// fan-outs by giving the inner one its own pool (ForEachIndexed).
-func ForEachIndexedOn(p *Pool, n int, fn func(i int) error) error {
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		if !p.Submit(func() { defer wg.Done(); errs[i] = fn(i) }) {
-			errs[i] = errPoolClosed
-			wg.Done()
+	var next atomic.Int64
+	claim := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			errs[i] = fn(i)
 		}
 	}
-	wg.Wait()
+	var helpers sync.WaitGroup
+	for w := 1; w < min(n, workers); w++ {
+		helpers.Add(1)
+		go func() {
+			defer helpers.Done()
+			claim()
+		}()
+	}
+	claim()
+	helpers.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -155,6 +55,3 @@ func ForEachIndexedOn(p *Pool, n int, fn func(i int) error) error {
 	}
 	return nil
 }
-
-// errPoolClosed reports a task submitted after Close.
-var errPoolClosed = errors.New("experiments: pool closed")

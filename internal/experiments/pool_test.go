@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachIndexedFillsAllSlots(t *testing.T) {
@@ -46,51 +49,6 @@ func TestForEachIndexedReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
-func TestForEachIndexedOnSharedPool(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	const n = 60
-	// Two interleaved fan-outs on one pool: each must wait only for its
-	// own tasks and fill exactly its own slots.
-	outA := make([]int, n)
-	outB := make([]int, n)
-	done := make(chan error, 1)
-	go func() {
-		done <- ForEachIndexedOn(p, n, func(i int) error { outB[i] = i + 1; return nil })
-	}()
-	if err := ForEachIndexedOn(p, n, func(i int) error { outA[i] = i * 2; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if outA[i] != i*2 || outB[i] != i+1 {
-			t.Fatalf("slot %d = (%d, %d), want (%d, %d)", i, outA[i], outB[i], i*2, i+1)
-		}
-	}
-
-	// Lowest-index error rule carries over.
-	err := ForEachIndexedOn(p, 20, func(i int) error {
-		if i == 3 || i == 17 {
-			return fmt.Errorf("task %d failed", i)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "task 3 failed" {
-		t.Errorf("err = %v, want the index-3 error", err)
-	}
-}
-
-func TestForEachIndexedOnClosedPool(t *testing.T) {
-	p := NewPool(2)
-	p.Close()
-	err := ForEachIndexedOn(p, 4, func(int) error { return nil })
-	if err == nil {
-		t.Fatal("closed pool accepted work")
-	}
-}
-
 func TestForEachIndexedEdgeCases(t *testing.T) {
 	if err := ForEachIndexed(0, 4, func(int) error { return errors.New("never") }); err != nil {
 		t.Errorf("n=0: %v", err)
@@ -102,6 +60,104 @@ func TestForEachIndexedEdgeCases(t *testing.T) {
 	}
 	if !out[0] || !out[1] {
 		t.Errorf("tasks skipped: %v", out)
+	}
+}
+
+// goid returns the calling goroutine's id, parsed from its stack header
+// ("goroutine 18 [running]:").
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+func TestForEachIndexedOneWorkerStartsNoGoroutine(t *testing.T) {
+	caller := goid()
+	var ran []string // safe: every call runs on the caller
+	if err := ForEachIndexed(20, 1, func(int) error { ran = append(ran, goid()); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(ran) != 20 {
+		t.Fatalf("ran %d indices, want 20", len(ran))
+	}
+	for i, id := range ran {
+		if id != caller {
+			t.Fatalf("index %d ran on goroutine %s, want the caller %s", i, id, caller)
+		}
+	}
+}
+
+func TestForEachIndexedMoreWorkersThanIndices(t *testing.T) {
+	// workers is capped at n: three indices run on at most three
+	// goroutines (the caller plus two helpers), however large workers is.
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	out := make([]int, 3)
+	err := ForEachIndexed(3, 1000, func(i int) error {
+		mu.Lock()
+		seen[goid()] = true
+		mu.Unlock()
+		out[i] = i + 1
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) > 3 {
+		t.Errorf("3 indices ran on %d goroutines", len(seen))
+	}
+	if out[0] != 1 || out[1] != 2 || out[2] != 3 {
+		t.Errorf("slots = %v, want [1 2 3]", out)
+	}
+}
+
+func TestForEachIndexedNoGoroutineOutlivesCall(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var active, done atomic.Int64
+	err := ForEachIndexed(64, 8, func(int) error {
+		active.Add(1)
+		defer active.Add(-1)
+		runtime.Gosched()
+		done.Add(1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := active.Load(); got != 0 {
+		t.Fatalf("%d calls still running after return", got)
+	}
+	if got := done.Load(); got != 64 {
+		t.Fatalf("%d calls finished, want 64", got)
+	}
+	// A helper signals completion just before it exits, so allow the
+	// scheduler a moment to retire it.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the call, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestForEachIndexedLowestIndexErrorWinsOverFirstFailure(t *testing.T) {
+	// Index 37 fails first in time; index 10 fails only after it. The
+	// reported error is still index 10's.
+	failed37 := make(chan struct{})
+	err := ForEachIndexed(50, 4, func(i int) error {
+		switch i {
+		case 10:
+			<-failed37
+			return fmt.Errorf("task %d failed", i)
+		case 37:
+			defer close(failed37)
+			return fmt.Errorf("task %d failed", i)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "task 10 failed" {
+		t.Errorf("err = %v, want the index-10 error", err)
 	}
 }
 
@@ -214,49 +270,6 @@ func BenchmarkRunStudy(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func TestPoolRunsAllTasks(t *testing.T) {
-	p := NewPool(4)
-	var count atomic.Int64
-	for i := 0; i < 100; i++ {
-		if !p.Submit(func() { count.Add(1) }) {
-			t.Fatalf("submit %d rejected on an open pool", i)
-		}
-	}
-	p.Wait()
-	if got := count.Load(); got != 100 {
-		t.Errorf("ran %d tasks after Wait, want 100", got)
-	}
-	p.Close()
-	if p.Submit(func() { count.Add(1) }) {
-		t.Error("submit accepted on a closed pool")
-	}
-	if got := count.Load(); got != 100 {
-		t.Errorf("closed pool ran a task: count %d, want 100", got)
-	}
-}
-
-func TestPoolCloseDrainsQueue(t *testing.T) {
-	// One worker, many queued tasks: Close must run them all before
-	// returning, not drop the backlog.
-	p := NewPool(1)
-	var count atomic.Int64
-	for i := 0; i < 50; i++ {
-		p.Submit(func() { count.Add(1) })
-	}
-	p.Close()
-	if got := count.Load(); got != 50 {
-		t.Errorf("Close drained %d tasks, want 50", got)
-	}
-}
-
-func TestPoolDefaultsWorkersToGOMAXPROCS(t *testing.T) {
-	p := NewPool(0)
-	defer p.Close()
-	if got := p.Workers(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("NewPool(0).Workers() = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
 }
 

@@ -64,11 +64,10 @@ func ParseTopology(name string) (Topology, error) {
 
 // FanOut fans n indexed units of work across workers and returns the
 // lowest-index error. Its signature matches experiments.ForEachIndexed
-// bound to a worker count (or ForEachIndexedOn bound to a shared pool);
-// callers inject one of those so island evolution rides the process-wide
-// worker pool rather than ad hoc goroutines. A nil FanOut runs
-// sequentially — by the fan-out invariance contract the results are
-// byte-identical either way, only the wall clock differs.
+// bound to a worker count; callers inject that so island evolution rides
+// the library's one bounded fork-join rather than ad hoc goroutines. A nil
+// FanOut runs sequentially — by the fan-out invariance contract the
+// results are byte-identical either way, only the wall clock differs.
 type FanOut func(n int, fn func(i int) error) error
 
 // sequentialFanOut is the nil-FanOut fallback.
@@ -109,9 +108,8 @@ type IslandConfig struct {
 	// DefaultIslandConfig selects RingTopology explicitly.
 	Topology Topology
 	// FanOut carries island evolution across workers; nil evolves the
-	// islands sequentially. Inject experiments.ForEachIndexed (bound to a
-	// worker count) or ForEachIndexedOn (bound to the process-wide pool);
-	// the result is identical either way.
+	// islands sequentially. Inject experiments.ForEachIndexed bound to a
+	// worker count; the result is identical at any count.
 	FanOut FanOut
 	// OnBarrier, when non-nil, is called after every evolution chunk (each
 	// migration barrier plus the final chunk) with the chunk's last

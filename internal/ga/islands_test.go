@@ -53,7 +53,7 @@ func quickIslandCfg(fan ga.FanOut) ga.IslandConfig {
 	}
 }
 
-// poolFanOut binds the island fan-out to a bounded experiments pool of the
+// poolFanOut binds the island fan-out to experiments.ForEachIndexed at the
 // given worker count — the injection RunIslands expects in production.
 func poolFanOut(workers int) ga.FanOut {
 	return func(n int, fn func(i int) error) error {

@@ -4,8 +4,8 @@
 // discipline every invariance test in this repository stakes its
 // correctness on — results byte-identical at any worker count, all
 // randomness derived from internal/rng seed streams, no wall-clock reads
-// on deterministic paths, and all library concurrency riding the shared
-// pool abstractions.
+// on deterministic paths, and all library concurrency riding the
+// index-merged fork-join.
 //
 // Because the module has zero dependencies, the analyzers resolve
 // imported-package selectors *syntactically*: a call site `rand.Int()` is

@@ -6,20 +6,20 @@ import (
 )
 
 // NakedGo flags `go` statements. Library concurrency must ride
-// experiments.Pool / experiments.ForEachIndexed / ga.FanOut: the pool
+// experiments.ForEachIndexed (or a ga.FanOut bound to it): the fork-join
 // merges results by index so output is byte-identical at any worker
-// count, and its bound is the one knob capping process concurrency. A
-// naked goroutine has neither property. The request plane — the worker
-// pool itself, the serving/cluster layers, process entry points — is
-// package-allowlisted in the policy table.
+// count, and its worker bound caps the fan-out. A naked goroutine has
+// neither property. The request plane — the fork-join itself, the
+// serving layer with its one worker pool per server, the cluster layer,
+// process entry points — is package-allowlisted in the policy table.
 func NakedGo() *Analyzer {
 	return &Analyzer{
 		Name: "nakedgo",
-		Doc:  "go statement outside the pool/serving layers; ride experiments.Pool or ga.FanOut",
+		Doc:  "go statement outside the fork-join/serving layers; ride experiments.ForEachIndexed or ga.FanOut",
 		Run: func(pkg *Package, file *File, report func(pos token.Pos, format string, args ...any)) {
 			ast.Inspect(file.AST, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok {
-					report(g.Pos(), "naked go statement: library concurrency rides experiments.Pool/ForEachIndexed (or ga.FanOut), which merge by index and bound workers")
+					report(g.Pos(), "naked go statement: library concurrency rides experiments.ForEachIndexed (or ga.FanOut), which merges by index and bounds workers")
 				}
 				return true
 			})

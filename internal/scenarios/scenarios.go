@@ -2,8 +2,8 @@
 // corpus of placement scenarios spanning every client layout of
 // internal/dist — the paper's four distributions plus the extended
 // hotspots, ring and trace layouts — across the three benchmark-family
-// scales, and a suite runner that sweeps solvers over the corpus on the
-// shared experiments worker pool.
+// scales, and a suite runner that sweeps solvers over the corpus through
+// the experiments.ForEachIndexed fork-join.
 //
 // The corpus is a reproducibility artifact: GenerateCorpus(seed, workers)
 // yields byte-identical instances at any worker count, and the per-version

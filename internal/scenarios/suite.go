@@ -36,11 +36,8 @@ type NamedSolver struct {
 type SuiteConfig struct {
 	// Seed drives corpus generation and every per-run solver stream.
 	Seed uint64
-	// Workers bounds the fan-out when Pool is nil (0 = one per CPU).
+	// Workers bounds the fan-out (0 = one per CPU).
 	Workers int
-	// Pool, when set, carries the fan-out instead of a fresh pool — the
-	// process-wide experiments.Pool shared with the placement server.
-	Pool *experiments.Pool
 	// Eval configures the objective; the zero value is the paper's model.
 	Eval wmn.EvalOptions
 	// Clock stamps each cell's advisory Runtime field; nil defaults to
@@ -80,10 +77,9 @@ type Report struct {
 
 // RunSuite sweeps every solver over every scenario: instances are
 // generated first (fanned by index), then the scenario × solver grid runs
-// as independent units on the pool, merged by unit index. Each unit's
-// randomness derives from (seed, scenario, solver name) only, so the
-// report is byte-identical at any worker count and pool sharing cannot
-// perturb results.
+// as independent units fanned the same way, merged by unit index. Each
+// unit's randomness derives from (seed, scenario, solver name) only, so
+// the report is byte-identical at any worker count.
 func RunSuite(scs []Scenario, solvers []NamedSolver, cfg SuiteConfig) (*Report, error) {
 	if len(scs) == 0 {
 		return nil, fmt.Errorf("scenarios: suite needs at least one scenario")
@@ -95,8 +91,10 @@ func RunSuite(scs []Scenario, solvers []NamedSolver, cfg SuiteConfig) (*Report, 
 	if clock == nil {
 		clock = time.Now //wmnlint:allow wallclock — Runtime stamps only; every Fingerprint-pinned column is clock-free
 	}
-	// Both phases honor cfg.Pool: a caller sharing the process-wide pool
-	// must get its concurrency bound for generation too, not just solves.
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	instances := make([]*wmn.Instance, len(scs))
 	generate := func(i int) error {
 		in, err := wmn.Generate(scs[i].Gen)
@@ -106,17 +104,7 @@ func RunSuite(scs []Scenario, solvers []NamedSolver, cfg SuiteConfig) (*Report, 
 		instances[i] = in
 		return nil
 	}
-	var err error
-	if cfg.Pool != nil {
-		err = experiments.ForEachIndexedOn(cfg.Pool, len(scs), generate)
-	} else {
-		workers := cfg.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		err = experiments.ForEachIndexed(len(scs), workers, generate)
-	}
-	if err != nil {
+	if err := experiments.ForEachIndexed(len(scs), workers, generate); err != nil {
 		return nil, err
 	}
 	evals := make([]*wmn.Evaluator, len(instances))
@@ -157,16 +145,7 @@ func RunSuite(scs []Scenario, solvers []NamedSolver, cfg SuiteConfig) (*Report, 
 		}
 		return nil
 	}
-	if cfg.Pool != nil {
-		err = experiments.ForEachIndexedOn(cfg.Pool, n, unit)
-	} else {
-		workers := cfg.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		err = experiments.ForEachIndexed(n, workers, unit)
-	}
-	if err != nil {
+	if err := experiments.ForEachIndexed(n, workers, unit); err != nil {
 		return nil, err
 	}
 	return &Report{Version: Version, Seed: cfg.Seed, Results: results}, nil

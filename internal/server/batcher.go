@@ -3,11 +3,9 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"sync"
 	"time"
 
-	"meshplace/internal/experiments"
 	"meshplace/internal/localsearch"
 	"meshplace/internal/wmn"
 )
@@ -65,6 +63,13 @@ type computation struct {
 	hooks  []func(localsearch.PhaseRecord)
 }
 
+// newComputation opens a computation with its first progress hook.
+func newComputation(ctx context.Context, key, cacheKey, hash string, spec Spec, seed uint64, onPhase func(localsearch.PhaseRecord)) *computation {
+	c := &computation{ctx: ctx, key: key, cacheKey: cacheKey, hash: hash, spec: spec, seed: seed, done: make(chan struct{})}
+	c.addHook(onPhase)
+	return c
+}
+
 // addHook attaches one progress consumer; nil hooks are ignored.
 func (c *computation) addHook(fn func(localsearch.PhaseRecord)) {
 	if fn == nil {
@@ -101,25 +106,16 @@ type batch struct {
 	timer    *time.Timer
 }
 
-// errBatcherClosed rejects enqueues during shutdown; callers fall back to
-// the direct (unbatched) solve path.
-var errBatcherClosed = errors.New("server: batcher closed")
-
 // batcher coalesces concurrent solves by instance hash. A request that
 // misses the cache enqueues here: if an identical (instance hash, spec,
 // seed) computation is already pending or running it attaches as a waiter
 // (CacheDedupWait) and the work runs exactly once; otherwise it opens (or
 // joins) the pending batch for its instance hash (CacheMiss). A batch
 // flushes when it has coalesced BatchSize requests, when BatchMaxWait
-// expires, or at shutdown — whichever comes first — and runs on a dedicated
-// bounded worker pool, building one warm wmn.Evaluator (the spatial client
-// index every solver's IncrementalEvaluator wraps) shared by every
+// expires, or at shutdown — whichever comes first — and runs as one task on
+// the server's worker pool, building one warm wmn.Evaluator (the spatial
+// client index every solver's IncrementalEvaluator wraps) shared by every
 // computation of the batch.
-//
-// The batcher runs batches on its own pool, not the async job pool: async
-// jobs block a job worker while waiting on a computation, so sharing one
-// pool would deadlock at low worker counts (the nesting hazard documented
-// on experiments.ForEachIndexedOn).
 type batcher struct {
 	batchSize int
 	maxWait   time.Duration
@@ -127,7 +123,7 @@ type batcher struct {
 	cache     *Cache
 	store     ResultStore
 	agg       *metricsAggregator
-	pool      *experiments.Pool
+	pool      *workerPool
 
 	mu       sync.Mutex
 	closed   bool
@@ -136,7 +132,7 @@ type batcher struct {
 	pending  map[string]*batch       // by instance hash
 }
 
-func newBatcher(cfg Config, cache *Cache, agg *metricsAggregator) *batcher {
+func newBatcher(cfg Config, cache *Cache, agg *metricsAggregator, pool *workerPool) *batcher {
 	return &batcher{
 		batchSize: cfg.BatchSize,
 		maxWait:   cfg.BatchMaxWait,
@@ -144,7 +140,7 @@ func newBatcher(cfg Config, cache *Cache, agg *metricsAggregator) *batcher {
 		cache:     cache,
 		store:     cfg.Store,
 		agg:       agg,
-		pool:      experiments.NewPool(cfg.Workers),
+		pool:      pool,
 		inflight:  map[string]*computation{},
 		pending:   map[string]*batch{},
 	}
@@ -158,8 +154,8 @@ func newBatcher(cfg Config, cache *Cache, agg *metricsAggregator) *batcher {
 // requests carry the deadline in their dedup key, so sharers agree on it).
 // onPhase, when non-nil, receives the computation's live solver progress
 // (shared with every other request coalesced onto it). After close it
-// returns errBatcherClosed and the caller solves directly.
-func (b *batcher) enqueue(ctx context.Context, in *wmn.Instance, hash, key, cacheKey string, spec Spec, seed uint64, onPhase func(localsearch.PhaseRecord)) (*computation, string, error) {
+// returns a nil computation and the caller solves directly.
+func (b *batcher) enqueue(ctx context.Context, in *wmn.Instance, hash, key, cacheKey string, spec Spec, seed uint64, onPhase func(localsearch.PhaseRecord)) (*computation, string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if c, ok := b.inflight[key]; ok {
@@ -174,13 +170,12 @@ func (b *batcher) enqueue(ctx context.Context, in *wmn.Instance, hash, key, cach
 				b.flushLocked(bt, flushSize)
 			}
 		}
-		return c, CacheDedupWait, nil
+		return c, CacheDedupWait
 	}
 	if b.closed {
-		return nil, "", errBatcherClosed
+		return nil, ""
 	}
-	c := &computation{ctx: ctx, key: key, cacheKey: cacheKey, hash: hash, spec: spec, seed: seed, done: make(chan struct{})}
-	c.addHook(onPhase)
+	c := newComputation(ctx, key, cacheKey, hash, spec, seed, onPhase)
 	b.inflight[key] = c
 	bt := b.pending[hash]
 	if bt == nil {
@@ -196,7 +191,7 @@ func (b *batcher) enqueue(ctx context.Context, in *wmn.Instance, hash, key, cach
 	if bt.requests >= b.batchSize {
 		b.flushLocked(bt, flushSize)
 	}
-	return c, CacheMiss, nil
+	return c, CacheMiss
 }
 
 // flushExpired is the BatchMaxWait timer callback. The generation check
@@ -222,27 +217,39 @@ func (b *batcher) flushLocked(bt *batch, cause flushCause) {
 	}
 	b.agg.recordBatch(cause, len(bt.comps))
 	in, comps := bt.in, bt.comps
-	if !b.pool.Submit(func() { b.run(in, comps) }) {
-		// Pool already closed (shutdown race): fail the waiters rather than
-		// strand them on a done channel nobody will close.
+	if !b.pool.submit(func() { b.run(in, comps) }) {
+		// Pool already closed: fail the waiters rather than strand them on
+		// a done channel nobody will close.
 		for _, c := range comps {
-			c.err = errBatcherClosed
+			c.err = errServerClosed
 			close(c.done)
 			delete(b.inflight, c.key)
 		}
 	}
 }
 
-// run executes one flushed batch on a pool worker: one warm evaluator
-// build shared by every computation, then each computation solved and
-// cached in enqueue order (deterministic, and the per-batch fan-out is
-// across batches on the pool, not within one). Results are published to
-// waiters by closing each computation's done channel; the inflight entries
-// are dropped only after the cache holds the payloads, so a request always
-// finds either the inflight computation or the cached bytes — never a gap.
+// run executes one flushed batch on a pool worker (see solveBatch). Each
+// computation leaves inflight after the cache holds its payload and before
+// its waiters wake, so a request always finds either the inflight
+// computation or the cached bytes — never a gap — and a request admitted
+// after an answer went out never attaches to the finished computation.
 func (b *batcher) run(in *wmn.Instance, comps []*computation) {
+	solveBatch(in, comps, b.evalOpts, b.cache, b.store, func(c *computation) {
+		b.mu.Lock()
+		delete(b.inflight, c.key)
+		b.mu.Unlock()
+	})
+}
+
+// solveBatch is one pool task: one warm evaluator build shared by every
+// computation, then each computation solved and published in order
+// (deterministic, and the fan-out is across batches on the pool, not
+// within one). Results reach waiters by closing each computation's done
+// channel, right after release (when non-nil) sees it. A direct solve is a
+// batch of one.
+func solveBatch(in *wmn.Instance, comps []*computation, opts wmn.EvalOptions, cache *Cache, store ResultStore, release func(*computation)) {
 	start := time.Now()
-	eval, evalErr := wmn.NewEvaluator(in, b.evalOpts)
+	eval, evalErr := wmn.NewEvaluator(in, opts)
 	buildNs := time.Since(start).Nanoseconds()
 	for _, c := range comps {
 		c.runStart = start
@@ -258,23 +265,20 @@ func (b *batcher) run(in *wmn.Instance, comps []*computation) {
 			// deterministic result — publishing one would poison the cache for
 			// every future unbounded request.
 			if c.err == nil && !c.truncated {
-				publishResult(b.cache, b.store, c.cacheKey, c.payload)
+				publishResult(cache, store, c.cacheKey, c.payload)
 			}
+		}
+		if release != nil {
+			release(c)
 		}
 		close(c.done)
 	}
-	b.mu.Lock()
-	for _, c := range comps {
-		delete(b.inflight, c.key)
-	}
-	b.mu.Unlock()
 }
 
-// close flushes every pending batch (flushClose), rejects further
-// enqueues, and drains the batch pool. Every waiter attached before close
-// receives its result: pending batches are flushed onto the pool and
-// pool.Close waits for them, so shutdown leaks neither goroutines nor
-// waiters.
+// close flushes every pending batch (flushClose) onto the server's pool
+// and rejects further enqueues. Every waiter attached before close
+// receives its result: Server.Close closes the pool next, which runs every
+// flushed batch, so shutdown leaks neither goroutines nor waiters.
 func (b *batcher) close() {
 	b.mu.Lock()
 	b.closed = true
@@ -286,7 +290,6 @@ func (b *batcher) close() {
 		b.flushLocked(bt, flushClose)
 	}
 	b.mu.Unlock()
-	b.pool.Close()
 }
 
 // solvePayload answers one (instance, spec, seed) triple on a prebuilt

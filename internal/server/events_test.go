@@ -327,7 +327,7 @@ func TestJobEventsUnknownJob404(t *testing.T) {
 // dropped job, so a still-attached stream terminates instead of hanging
 // on a job nobody can complete.
 func TestEvictionFinishesHubs(t *testing.T) {
-	q := newJobQueue(nil, 0, "")
+	q := newJobQueue(0, "")
 	spec, _ := ParseSpec("adhoc")
 	var hubs []*progressHub
 	q.mu.Lock()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"meshplace/internal/experiments"
 	"meshplace/internal/localsearch"
 )
 
@@ -24,7 +23,7 @@ const (
 // (async) and GET /v1/jobs/{id}. Result carries the exact payload a
 // synchronous solve of the same request would return, byte for byte;
 // RequestMetrics carries the finished request's telemetry (queue wait
-// including job-pool queueing, batch build, solve, cache path).
+// including worker-pool queueing, batch build, solve, cache path).
 type JobView struct {
 	ID             string          `json:"id"`
 	Status         JobStatus       `json:"status"`
@@ -80,33 +79,32 @@ const maxRetainedJobs = 1024
 // capacity — the server's backpressure signal (429).
 var errBacklogFull = fmt.Errorf("server: async backlog full, retry later")
 
-// jobQueue tracks async solves. Execution rides the experiments worker
-// pool — the same bounded-concurrency mechanism the batch experiment
-// runners use — so the server never spawns ad hoc goroutines and heavy
-// solves cannot oversubscribe the host. maxPending bounds the queued +
-// running backlog (each pending job pins its instance and a pool-queue
-// slot); beyond it, submit rejects with errBacklogFull.
+// jobQueue tracks async solves. Each accepted job runs on its own
+// goroutine, which waits for its solve outside the server's worker pool
+// exactly as a synchronous handler does; the pool bounds the solving, and
+// maxPending bounds how many job goroutines can exist (each pending job
+// also pins its instance). Beyond it, submit rejects with errBacklogFull.
 type jobQueue struct {
 	mu         sync.Mutex
-	pool       *experiments.Pool
 	jobs       map[string]*job
 	order      []string // insertion order, for eviction
 	seq        uint64
 	pending    int
 	maxPending int    // <= 0 means unbounded
 	prefix     string // "<nodeID>-" when the server has a cluster identity
+	running    sync.WaitGroup
 }
 
-func newJobQueue(pool *experiments.Pool, maxPending int, nodeID string) *jobQueue {
+func newJobQueue(maxPending int, nodeID string) *jobQueue {
 	prefix := ""
 	if nodeID != "" {
 		prefix = nodeID + "-"
 	}
-	return &jobQueue{pool: pool, jobs: make(map[string]*job), maxPending: maxPending, prefix: prefix}
+	return &jobQueue{jobs: make(map[string]*job), maxPending: maxPending, prefix: prefix}
 }
 
-// submit registers a job and enqueues its run on the pool, returning the
-// initial (queued) view, or errBacklogFull when the pending backlog is at
+// submit registers a job and starts its run, returning the initial
+// (queued) view, or errBacklogFull when the pending backlog is at
 // capacity. IDs are sequential, not random, so job handles are
 // deterministic within a server lifetime; under a cluster identity they
 // are prefixed "<nodeID>-", which is how any replica routes
@@ -126,19 +124,22 @@ func (q *jobQueue) submit(spec Spec, seed uint64, run func(publish func(localsea
 	q.jobs[id] = j
 	q.order = append(q.order, id)
 	q.evictLocked()
+	q.running.Add(1)
 	q.mu.Unlock()
 
-	if !q.pool.Submit(func() {
+	view := j.snapshot()
+	go func() {
+		defer q.running.Done()
 		j.setStatus(JobRunning)
 		out, metrics, err := run(j.events.publish)
 		q.release()
 		j.finish(out, metrics, err)
-	}) {
-		q.release()
-		j.finish(nil, RequestMetrics{}, fmt.Errorf("server: job queue closed"))
-	}
-	return j.snapshot(), nil
+	}()
+	return view, nil
 }
+
+// wait blocks until every job started so far has finished.
+func (q *jobQueue) wait() { q.running.Wait() }
 
 // release frees one pending slot.
 func (q *jobQueue) release() {

@@ -1,12 +1,13 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"testing"
 	"time"
 
-	"meshplace/internal/experiments"
 	"meshplace/internal/localsearch"
 )
 
@@ -31,9 +32,8 @@ func waitStatus(t *testing.T, q *jobQueue, id string, want JobStatus) JobView {
 }
 
 func TestJobLifecycleSuccess(t *testing.T) {
-	pool := experiments.NewPool(2)
-	defer pool.Close()
-	q := newJobQueue(pool, 0, "")
+	q := newJobQueue(0, "")
+	defer q.wait()
 
 	spec, err := ParseSpec("adhoc")
 	if err != nil {
@@ -62,9 +62,8 @@ func TestJobLifecycleSuccess(t *testing.T) {
 }
 
 func TestJobLifecycleFailure(t *testing.T) {
-	pool := experiments.NewPool(1)
-	defer pool.Close()
-	q := newJobQueue(pool, 0, "")
+	q := newJobQueue(0, "")
+	defer q.wait()
 
 	spec, _ := ParseSpec("adhoc")
 	view, err := q.submit(spec, 1, func(func(localsearch.PhaseRecord)) ([]byte, RequestMetrics, error) {
@@ -82,55 +81,39 @@ func TestJobLifecycleFailure(t *testing.T) {
 	}
 }
 
-func TestJobOrderedExecutionOnOneWorker(t *testing.T) {
-	// One worker drains jobs in submission order.
-	pool := experiments.NewPool(1)
-	defer pool.Close()
-	q := newJobQueue(pool, 0, "")
-	spec, _ := ParseSpec("adhoc")
-
-	var order []int
-	var ids []string
-	for i := 0; i < 5; i++ {
-		view, err := q.submit(spec, uint64(i), func(func(localsearch.PhaseRecord)) ([]byte, RequestMetrics, error) {
-			order = append(order, i) // safe: single worker
-			return []byte("{}"), RequestMetrics{}, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, view.ID)
-	}
-	for _, id := range ids {
-		waitStatus(t, q, id, JobDone)
-	}
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("execution order %v, want FIFO", order)
-		}
-	}
-}
-
+// TestJobSubmitAfterPoolClose pins shutdown behaviour: once Close has
+// closed the server's worker pool, an async job that misses the cache
+// fails with "server closed" and a synchronous miss answers 503.
 func TestJobSubmitAfterPoolClose(t *testing.T) {
-	pool := experiments.NewPool(1)
-	pool.Close()
-	q := newJobQueue(pool, 0, "")
-	spec, _ := ParseSpec("adhoc")
-	view, err := q.submit(spec, 1, func(func(localsearch.PhaseRecord)) ([]byte, RequestMetrics, error) {
-		return []byte("{}"), RequestMetrics{}, nil
-	})
-	if err != nil {
+	srv := New(Config{CacheSize: 4, Workers: 1})
+	srv.Close()
+	in := testInstance(t)
+
+	w := do(t, srv, "POST", "/v1/solve", solveBodyMode(t, in, "adhoc", 1, "async"))
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("async submit after close = %d, want 202 (body %s)", w.Code, w.Body.String())
+	}
+	var accepted struct {
+		Job JobView `json:"job"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &accepted); err != nil {
 		t.Fatal(err)
 	}
-	if view.Status != JobFailed {
-		t.Errorf("submit on closed pool = %s, want failed", view.Status)
+	view := pollJob(t, srv, accepted.Job.ID)
+	if view.Status != JobFailed || view.Error != errServerClosed.Error() {
+		t.Errorf("job after close = %s (%q), want failed with %q", view.Status, view.Error, errServerClosed)
 	}
+
+	w = do(t, srv, "POST", "/v1/solve", solveBodyMode(t, in, "adhoc", 2, "sync"))
+	if w.Code != http.StatusServiceUnavailable {
+		t.Errorf("sync solve after close = %d, want 503 (body %s)", w.Code, w.Body.String())
+	}
+	srv.jobs.wait()
 }
 
 func TestJobEvictionKeepsTableBounded(t *testing.T) {
-	pool := experiments.NewPool(4)
-	defer pool.Close()
-	q := newJobQueue(pool, 0, "")
+	q := newJobQueue(0, "")
+	defer q.wait()
 	spec, _ := ParseSpec("adhoc")
 
 	for i := 0; i < maxRetainedJobs+100; i++ {
@@ -140,7 +123,7 @@ func TestJobEvictionKeepsTableBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pool.Wait()
+	q.wait()
 	// Eviction happens on submit (unfinished jobs are never dropped), so
 	// the next submit after the backlog drains prunes the table.
 	view, err := q.submit(spec, 0, func(func(localsearch.PhaseRecord)) ([]byte, RequestMetrics, error) {
@@ -169,12 +152,11 @@ func TestJobEvictionKeepsTableBounded(t *testing.T) {
 // relies on: unfinished jobs are never evicted, eviction stops as soon as
 // the table is back at capacity, and order stays consistent with jobs.
 func TestEvictLockedSparesUnfinishedJobs(t *testing.T) {
-	pool := experiments.NewPool(1)
-	defer pool.Close()
-	q := newJobQueue(pool, 0, "")
+	q := newJobQueue(0, "")
+	defer q.wait()
 	spec, _ := ParseSpec("adhoc")
 
-	// Build the table by hand (no pool runs): every 3rd job still queued,
+	// Build the table by hand (no job runs): every 3rd job still queued,
 	// every 7th running, the rest finished.
 	total := maxRetainedJobs + 200
 	unfinished := map[string]bool{}
@@ -243,9 +225,8 @@ func TestEvictLockedSparesUnfinishedJobs(t *testing.T) {
 }
 
 func TestJobBacklogLimitRejectsThenRecovers(t *testing.T) {
-	pool := experiments.NewPool(1)
-	defer pool.Close()
-	q := newJobQueue(pool, 2, "")
+	q := newJobQueue(2, "")
+	defer q.wait()
 	spec, _ := ParseSpec("adhoc")
 
 	release := make(chan struct{})

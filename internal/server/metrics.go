@@ -37,8 +37,8 @@ type RequestMetrics struct {
 	// answered the request (1 on the unbatched path, 0 on a cache hit).
 	BatchSize int `json:"batchSize"`
 	// QueueWaitNs is the time the request spent waiting before its
-	// computation started: batch build-up (maxWait window) plus, for async
-	// requests, time queued behind other jobs on the worker pool.
+	// computation started: batch build-up (maxWait window) plus time
+	// queued behind other solves on the worker pool.
 	QueueWaitNs int64 `json:"queueWaitNs"`
 	// BatchBuildNs is the time spent building the batch's shared warm
 	// evaluator (amortized identically onto every request of the batch).

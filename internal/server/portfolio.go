@@ -3,12 +3,10 @@ package server
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 
-	"meshplace/internal/experiments"
 	"meshplace/internal/localsearch"
 	"meshplace/internal/rng"
 	"meshplace/internal/wmn"
@@ -110,12 +108,6 @@ func portfolioFactory() BackendFactory {
 	}
 }
 
-// portfolioFan runs n member drives, possibly concurrently. Injected so
-// tests can pin the worker count; the registry build fans on a fresh
-// bounded pool (nesting on the process-wide pool would deadlock at one
-// worker, and results are byte-identical at any width regardless).
-type portfolioFan func(n int, fn func(i int) error) error
-
 func buildPortfolio(spec Spec) (BackendSolve, error) {
 	specs := portfolioMemberSpecs(spec)
 	runs := make([]BackendSolve, len(specs))
@@ -127,11 +119,8 @@ func buildPortfolio(spec Spec) (BackendSolve, error) {
 		runs[i] = run
 	}
 	budget, slices := spec.specInt("budget"), spec.specInt("slices")
-	fan := func(n int, fn func(i int) error) error {
-		return experiments.ForEachIndexed(n, runtime.GOMAXPROCS(0), fn)
-	}
 	return func(ctx context.Context, eval *wmn.Evaluator, seed uint64, h BackendHooks) (BackendResult, error) {
-		return runPortfolio(ctx, eval, seed, h, specs, runs, budget, slices, fan)
+		return runPortfolio(ctx, eval, seed, h, specs, runs, budget, slices)
 	}, nil
 }
 
@@ -148,8 +137,8 @@ type pfState struct {
 
 // pfMember is the coordinator's view of one raced member. The goroutine
 // running the member engine communicates only through grant and state;
-// every other field is owned by the coordinator (one drive per slice, one
-// state receive per drive, so accesses are ordered by the channels).
+// every other field is owned by the coordinator (one advance and one
+// collect per slice, so accesses are ordered by the channels).
 type pfMember struct {
 	spec Spec
 	run  BackendSolve
@@ -198,16 +187,23 @@ func (m *pfMember) loop(ctx context.Context, eval *wmn.Evaluator) {
 	m.state <- pfState{evals: out.Evaluations, best: out.Metrics, sol: out.Solution, finished: true}
 }
 
-// drive advances the member by one slice: start it (first slice) or grant
-// the new cumulative target, then block until it parks or finishes.
-func (m *pfMember) drive(ctx context.Context, eval *wmn.Evaluator, target int) {
+// advance lets the member run one more slice: it starts the member's
+// goroutine (first slice) or grants the new cumulative target. It does not
+// wait for the slice: a started member is parked in gate, ready to take
+// the grant.
+func (m *pfMember) advance(ctx context.Context, eval *wmn.Evaluator, target int) {
 	if !m.started {
 		m.started = true
 		m.target = target // before the go statement: happens-before the engine
 		go m.loop(ctx, eval)
-	} else {
-		m.grant <- target
+		return
 	}
+	m.grant <- target
+}
+
+// collect blocks until the member parks at its target or finishes, and
+// records its state.
+func (m *pfMember) collect() {
 	st := <-m.state
 	m.evals, m.finished, m.err = st.evals, st.finished, st.err
 	if st.err == nil {
@@ -280,13 +276,14 @@ func pfShares(members []*pfMember, alive []int, give int, firstSlice bool) map[i
 }
 
 // runPortfolio coordinates the race. Each slice grants every alive member
-// a deterministic chunk of the remaining budget, fans their drives out,
+// a deterministic chunk of the remaining budget — the members then run
+// concurrently on their own goroutines — collects them in index order,
 // then reports the cross-member best at the barrier: h.onPhase sees one
 // record per slice, and h.stop (budget/deadline control from the generic
 // wrapper) is consulted only at barriers, so truncation lands on slice
 // boundaries. The first slice always runs, guaranteeing an incumbent and a
 // non-empty anytime curve even under an already-expired deadline.
-func runPortfolio(ctx context.Context, eval *wmn.Evaluator, seed uint64, h BackendHooks, specs []Spec, runs []BackendSolve, budget, slices int, fan portfolioFan) (BackendResult, error) {
+func runPortfolio(ctx context.Context, eval *wmn.Evaluator, seed uint64, h BackendHooks, specs []Spec, runs []BackendSolve, budget, slices int) (BackendResult, error) {
 	members := make([]*pfMember, len(specs))
 	for i := range specs {
 		members[i] = &pfMember{
@@ -327,12 +324,11 @@ func runPortfolio(ctx context.Context, eval *wmn.Evaluator, seed uint64, h Backe
 		}
 		shares := pfShares(members, alive, give, s == 1)
 		slicesRun = s
-		if err := fan(len(alive), func(k int) error {
-			m := members[alive[k]]
-			m.drive(ctx, eval, m.evals+shares[alive[k]])
-			return nil
-		}); err != nil {
-			return BackendResult{}, err
+		for _, i := range alive {
+			members[i].advance(ctx, eval, members[i].evals+shares[i])
+		}
+		for _, i := range alive {
+			members[i].collect()
 		}
 		for _, i := range alive {
 			if members[i].err != nil {

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"meshplace/internal/experiments"
 	"meshplace/internal/wmn"
 )
 
@@ -64,11 +63,12 @@ func TestPortfolioSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// portfolioRace runs the portfolio coordinator for a spec with an injected
-// worker count, capturing the anytime curve the generic wrapper would
+// portfolioRace runs the portfolio coordinator for a spec at the given
+// GOMAXPROCS, capturing the anytime curve the generic wrapper would
 // record.
-func portfolioRace(t *testing.T, eval *wmn.Evaluator, text string, seed uint64, workers int) (BackendResult, []AnytimePoint) {
+func portfolioRace(t *testing.T, eval *wmn.Evaluator, text string, seed uint64, procs int) (BackendResult, []AnytimePoint) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	spec, err := ParseSpec(text)
 	if err != nil {
 		t.Fatal(err)
@@ -82,11 +82,8 @@ func portfolioRace(t *testing.T, eval *wmn.Evaluator, text string, seed uint64, 
 		}
 		runs[i] = run
 	}
-	fan := func(n int, fn func(i int) error) error {
-		return experiments.ForEachIndexed(n, workers, fn)
-	}
 	rec := anytimeRecorder{}
-	out, err := runPortfolio(context.Background(), eval, seed, BackendHooks{Stop: rec.hook}, specs, runs, spec.specInt("budget"), spec.specInt("slices"), fan)
+	out, err := runPortfolio(context.Background(), eval, seed, BackendHooks{Stop: rec.hook}, specs, runs, spec.specInt("budget"), spec.specInt("slices"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +93,9 @@ func portfolioRace(t *testing.T, eval *wmn.Evaluator, text string, seed uint64, 
 // TestPortfolioWorkerInvariance pins the determinism contract of the
 // tentpole: because slices are measured in evaluation counts, the race —
 // winner, per-member budgets, metrics and the anytime curve — is
-// byte-identical whether members run sequentially or on 8 workers. Run
-// under -race this also exercises the concurrent member coordination.
+// byte-identical whether the member goroutines share one processor or run
+// on 8. Run under -race this also exercises the concurrent member
+// coordination.
 func TestPortfolioWorkerInvariance(t *testing.T) {
 	in := testInstance(t)
 	eval, err := wmn.NewEvaluator(in, wmn.EvalOptions{})
@@ -110,7 +108,7 @@ func TestPortfolioWorkerInvariance(t *testing.T) {
 	par, parCurve := portfolioRace(t, eval, text, 42, 8)
 
 	if !reflect.DeepEqual(seq.Solution, par.Solution) || seq.Metrics != par.Metrics || seq.Evaluations != par.Evaluations {
-		t.Errorf("8-worker race differs from sequential:\nseq: %v (%d evals)\npar: %v (%d evals)",
+		t.Errorf("race at GOMAXPROCS 8 differs from GOMAXPROCS 1:\nseq: %v (%d evals)\npar: %v (%d evals)",
 			seq.Metrics, seq.Evaluations, par.Metrics, par.Evaluations)
 	}
 	if !reflect.DeepEqual(seq.Portfolio, par.Portfolio) {
@@ -135,7 +133,7 @@ func TestPortfolioWorkerInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Error("marshaled race reports are not byte-identical across worker counts")
+		t.Error("marshaled race reports are not byte-identical across GOMAXPROCS")
 	}
 	if err := seq.Solution.Validate(in); err != nil {
 		t.Errorf("winner solution invalid: %v", err)
@@ -399,7 +397,7 @@ func TestDeadlineSolveLeaksNoGoroutines(t *testing.T) {
 	srv := newTestServer(t, Config{CacheSize: 4})
 	in := testInstance(t)
 
-	// Warm the server's pools first so their long-lived workers are part
+	// Warm the server's pool first so its long-lived workers are part
 	// of the baseline, not counted as leaks.
 	do(t, srv, "POST", "/v1/solve", solveBody(t, in, "adhoc", 1))
 	baseline := runtime.NumGoroutine()

@@ -411,11 +411,6 @@ func init() {
 					MigrateEvery: spec.specInt("migrateevery"),
 					Migrants:     spec.specInt("migrants"),
 					Topology:     topology,
-					// Async jobs already run on the process-wide pool;
-					// nesting the island fan-out on the same pool would
-					// deadlock at one worker (see ForEachIndexedOn), so the
-					// islands ride their own bounded inner pool. The result
-					// is byte-identical at any worker count either way.
 					FanOut: func(n int, fn func(i int) error) error {
 						return experiments.ForEachIndexed(n, runtime.GOMAXPROCS(0), fn)
 					},

@@ -76,7 +76,7 @@ func SuiteSolvers(specs []Spec) ([]scenarios.NamedSolver, error) {
 }
 
 // RunSuite sweeps the given solver specs (empty = every registered kind's
-// default) over the scenario list on the suite config's pool or workers.
+// default) over the scenario list with the suite config's workers.
 func RunSuite(specs []Spec, scs []scenarios.Scenario, cfg scenarios.SuiteConfig) (*scenarios.Report, error) {
 	solvers, err := SuiteSolvers(specs)
 	if err != nil {

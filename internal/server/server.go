@@ -5,12 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
-	"meshplace/internal/experiments"
 	"meshplace/internal/localsearch"
 	"meshplace/internal/wmn"
 )
@@ -19,8 +17,11 @@ import (
 // documents the default its zero selects, except CacheSize where zero
 // disables caching explicitly.
 type Config struct {
-	// Workers bounds the async job pool and, independently, the batch
-	// worker pool. 0 selects one per available CPU.
+	// Workers sizes the server's one worker pool, which runs every solve:
+	// each flushed batch, or each direct solve under DisableBatching.
+	// Handlers and async jobs wait for their solve outside the pool, so
+	// no pool task waits on another and any size makes progress. 0
+	// selects one per available CPU.
 	Workers int
 	// CacheSize is the LRU result-cache capacity in entries. 0 disables
 	// the cache; DefaultConfig uses 256.
@@ -45,8 +46,8 @@ type Config struct {
 	// company before the batch flushes anyway. 0 selects 2ms.
 	BatchMaxWait time.Duration
 	// DisableBatching bypasses the batcher entirely: every cache miss
-	// builds its own evaluator and solves inline (the pre-batching
-	// behavior, kept addressable for comparison benchmarks).
+	// builds its own evaluator and solves as its own pool task (the
+	// pre-batching behavior, kept addressable for comparison benchmarks).
 	DisableBatching bool
 	// Eval configures the objective used for every solve. The zero value
 	// is the paper's model.
@@ -92,11 +93,11 @@ func (c Config) withDefaults() Config {
 
 // Server is the placement service: an http.Handler wiring the solver
 // registry, the result cache, the request batcher and the async job queue
-// together. Create one with New and release its worker pools with Close.
+// together. Create one with New and release its worker pool with Close.
 type Server struct {
 	cfg     Config
 	cache   *Cache
-	pool    *experiments.Pool
+	pool    *workerPool
 	jobs    *jobQueue
 	batch   *batcher // nil when DisableBatching
 	metrics *metricsAggregator
@@ -109,12 +110,12 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		cache:   NewCache(cfg.CacheSize),
-		pool:    experiments.NewPool(cfg.Workers),
+		pool:    newWorkerPool(cfg.Workers),
+		jobs:    newJobQueue(cfg.MaxPendingJobs, cfg.NodeID),
 		metrics: &metricsAggregator{},
 	}
-	s.jobs = newJobQueue(s.pool, cfg.MaxPendingJobs, cfg.NodeID)
 	if !cfg.DisableBatching {
-		s.batch = newBatcher(cfg, s.cache, s.metrics)
+		s.batch = newBatcher(cfg, s.cache, s.metrics, s.pool)
 	}
 
 	mux := http.NewServeMux()
@@ -132,15 +133,21 @@ func New(cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close drains the batcher (pending batches flush and deliver to their
-// waiters) and then the async job pool. The server must not receive
-// requests afterwards.
+// Close flushes the batcher's pending batches onto the worker pool,
+// closes the pool (every queued solve runs and delivers to its waiters),
+// and then waits for every async job to finish. The server must not
+// receive requests afterwards; a cache miss that still arrives fails with
+// errServerClosed (503).
 func (s *Server) Close() {
 	if s.batch != nil {
 		s.batch.close()
 	}
-	s.pool.Close()
+	s.pool.close()
+	s.jobs.wait()
 }
+
+// errServerClosed fails a solve that reaches the worker pool after Close.
+var errServerClosed = errors.New("server closed")
 
 // Cache exposes the result cache (for stats and tests).
 func (s *Server) Cache() *Cache { return s.cache }
@@ -233,7 +240,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
-		"workers": s.pool.Workers(),
+		"workers": s.pool.workers,
 		"jobs":    s.jobs.len(),
 		"pending": s.jobs.pendingCount(),
 		"cache":   s.cache.Stats(),
@@ -261,9 +268,14 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	admitted := time.Now()
 	var req SolveRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
@@ -336,6 +348,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		ctx = dctx
 	}
 	payload, m, err := s.solveInstrumented(ctx, in, req.Solver, req.Seed, "sync", admitted, nil)
+	if errors.Is(err, errServerClosed) {
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "solve: %v", err)
 		return
@@ -344,9 +360,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, SolveResponse{Result: payload, RequestMetrics: m})
 }
 
-// maxRequestBytes bounds request bodies; a 4096-router 262144-client
-// instance encodes far below this.
-const maxRequestBytes = 64 << 20
+// maxRequestBytes bounds request bodies (413 past it); a 4096-router
+// 262144-client instance encodes far below this. A variable only so tests
+// can stream a body one byte past a small bound.
+var maxRequestBytes int64 = 64 << 20
 
 // oversizedError marks instances over the hard size limits (413, not 400).
 type oversizedError struct{ msg string }
@@ -406,8 +423,8 @@ func nonNegNs(d time.Duration) int64 {
 // (CacheStoreHit), through the batcher (CacheMiss for the request that
 // opened the computation, CacheDedupWait for requests that attached to
 // it), or — when batching is disabled or shutting down — on the direct
-// inline path. The returned payload bytes are the canonical SolveResult
-// document, identical for identical triples on every path; the
+// path, as a batch of one. The returned payload bytes are the canonical
+// SolveResult document, identical for identical triples on every path; the
 // RequestMetrics describe this request's trip and are folded into the
 // server aggregate behind GET /v1/metrics. admitted is when the request
 // entered the server, so async jobs account their pool queueing as queue
@@ -441,45 +458,29 @@ func (s *Server) solveInstrumented(ctx context.Context, in *wmn.Instance, spec S
 		return b, m, nil
 	}
 
+	var comp *computation
+	path := CacheMiss
 	if s.batch != nil {
-		comp, path, err := s.batch.enqueue(ctx, in, hash, dedupKey, key, spec, seed, onPhase)
-		if err == nil {
-			<-comp.done
-			if comp.err != nil {
-				return nil, m, comp.err
-			}
-			m.CachePath = path
-			m.BatchSize = comp.batchSize
-			m.QueueWaitNs = nonNegNs(comp.runStart.Sub(admitted))
-			m.BatchBuildNs = comp.buildNs
-			m.SolveNs = comp.solveNs
-			m.TotalNs = nonNegNs(time.Since(admitted))
-			s.metrics.record(m)
-			return comp.payload, m, nil
+		comp, path = s.batch.enqueue(ctx, in, hash, dedupKey, key, spec, seed, onPhase)
+	}
+	if comp == nil {
+		// Batching disabled or the batcher closed: a batch of one.
+		comp = newComputation(ctx, dedupKey, key, hash, spec, seed, onPhase)
+		if !s.pool.submit(func() { solveBatch(in, []*computation{comp}, s.cfg.Eval, s.cache, s.cfg.Store, nil) }) {
+			return nil, m, errServerClosed
 		}
-		// Batcher closed (shutdown): fall through to the direct path.
+		s.metrics.recordComputations(1)
 	}
-
-	buildStart := time.Now()
-	m.QueueWaitNs = nonNegNs(buildStart.Sub(admitted))
-	eval, err := wmn.NewEvaluator(in, s.cfg.Eval)
-	if err != nil {
-		return nil, m, err
+	<-comp.done
+	if comp.err != nil {
+		return nil, m, comp.err
 	}
-	m.BatchBuildNs = time.Since(buildStart).Nanoseconds()
-	solveStart := time.Now()
-	payload, truncated, err := solvePayload(ctx, eval, hash, spec, seed, onPhase)
-	if err != nil {
-		return nil, m, err
-	}
-	m.SolveNs = time.Since(solveStart).Nanoseconds()
-	if !truncated {
-		publishResult(s.cache, s.cfg.Store, key, payload)
-	}
-	m.CachePath = CacheMiss
-	m.BatchSize = 1
+	m.CachePath = path
+	m.BatchSize = comp.batchSize
+	m.QueueWaitNs = nonNegNs(comp.runStart.Sub(admitted))
+	m.BatchBuildNs = comp.buildNs
+	m.SolveNs = comp.solveNs
 	m.TotalNs = nonNegNs(time.Since(admitted))
-	s.metrics.recordComputations(1)
 	s.metrics.record(m)
-	return payload, m, nil
+	return comp.payload, m, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -449,4 +450,47 @@ func ExampleServer() {
 	defer resp.Body.Close()
 	fmt.Println(resp.StatusCode)
 	// Output: 200
+}
+
+// spaces is an endless reader of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// paddedJSON streams the JSON object obj padded with whitespace before its
+// closing brace to exactly size bytes, without holding the padding in
+// memory.
+func paddedJSON(obj string, size int64) io.Reader {
+	head := strings.TrimSuffix(obj, "}")
+	return io.MultiReader(strings.NewReader(head), io.LimitReader(spaces{}, size-int64(len(head))-1), strings.NewReader("}"))
+}
+
+// TestOversizedBodyIs413 streams a valid request body (no Content-Length)
+// exactly at the body limit, which is served, and one byte over it, which
+// is rejected with 413 rather than truncated into a 400.
+func TestOversizedBodyIs413(t *testing.T) {
+	srv := newTestServer(t, Config{CacheSize: 4, Workers: 1})
+	body := solveBody(t, testInstance(t), "adhoc", 1)
+	defer func(limit int64) { maxRequestBytes = limit }(maxRequestBytes)
+	maxRequestBytes = int64(len(body)) + 1024
+
+	for _, tc := range []struct {
+		size int64
+		want int
+	}{{maxRequestBytes, http.StatusOK}, {maxRequestBytes + 1, http.StatusRequestEntityTooLarge}} {
+		req := httptest.NewRequest("POST", "/v1/solve", paddedJSON(body, tc.size))
+		if req.ContentLength != -1 {
+			t.Fatalf("body has a known length %d, want a streamed one", req.ContentLength)
+		}
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		if w.Code != tc.want {
+			t.Errorf("%d-byte body (limit %d) = %d, want %d (body %s)", tc.size, maxRequestBytes, w.Code, tc.want, w.Body.String())
+		}
+	}
 }

@@ -4,9 +4,9 @@
 // extensions and the genetic algorithm behind one Solver interface
 // addressable by string spec; an HTTP JSON API (POST /v1/solve,
 // GET /v1/jobs/{id}, GET /v1/solvers, GET /v1/scenarios, GET /healthz); an
-// async job queue on the experiments worker pool for large instances; and
-// an LRU result cache that serves repeated seeded requests byte-identically
-// without recomputation.
+// async job queue for large instances, whose solves share the server's one
+// worker pool; and an LRU result cache that serves repeated seeded requests
+// byte-identically without recomputation.
 package server
 
 import (

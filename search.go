@@ -131,8 +131,8 @@ func DefaultIslandGAConfig() IslandGAConfig { return ga.DefaultIslandConfig() }
 // ParseGATopology parses a migration-topology name ("ring", "complete").
 func ParseGATopology(name string) (GATopology, error) { return ga.ParseTopology(name) }
 
-// IslandFanOut returns a fan-out riding a bounded worker pool of the given
-// size (0 = one worker per CPU) — the experiments.Pool mechanism every
+// IslandFanOut returns a fan-out of at most the given number of workers
+// (0 = one per CPU) — the experiments.ForEachIndexed fork-join every
 // concurrent subsystem of the library shares. Island results are
 // byte-identical at any worker count.
 func IslandFanOut(workers int) GAFanOut {

@@ -148,7 +148,7 @@ func DefaultServerConfig() ServerConfig { return server.DefaultConfig() }
 // NewServer constructs the HTTP placement service: POST /v1/solve (sync or
 // async by instance size, with identical concurrent requests batched and
 // deduplicated into one computation), GET /v1/jobs/{id}, GET /v1/solvers,
-// GET /v1/metrics and GET /healthz. Call Close to release its worker pools.
+// GET /v1/metrics and GET /healthz. Call Close to release its worker pool.
 func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
 
 // RunLoadgen drives a request load at a placement server (the library form
