@@ -59,24 +59,30 @@ race:
 # BenchmarkServeBatched in internal/server, the batched-vs-unbatched burst
 # comparison of the serving layer, and BenchmarkPortfolio there too, the
 # portfolio race against each member standalone at one shared evaluation
-# budget). The test2json event stream is written
+# budget). Two high-iteration passes follow, so the ratio gates read
+# steady-state numbers: BenchmarkIncrementalVsFull and BenchmarkSwapPropose,
+# the chained swap proposal. The test2json event stream is written
 # to $(BENCH_OUT) so the perf trajectory is recorded per PR and can be
 # diffed across commits with `make benchdiff`.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 3x -json ./... > $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench BenchmarkIncrementalVsFull -benchtime 1000x -json ./internal/wmn >> $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench '^BenchmarkSwapPropose$$' -benchtime 1000x -json . >> $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT) ($$(wc -l < $(BENCH_OUT)) events)"
 
 # Per-benchmark ns/op deltas between the committed baseline stream and the
 # current one; non-zero exit when a gated benchmark (default
 # BenchmarkIncrementalVsFull) slows down more than 25%, or when a
 # within-stream ratio gate fails: batched serving must not lose to the
-# unbatched path, and incremental evaluation must stay at or under half of
-# full evaluation, both measured on the machine that recorded the stream.
+# unbatched path, incremental evaluation must stay at or under half of
+# full evaluation, and one swap proposal must cost at most twice one
+# incremental evaluation on the same paper-scale instance, all measured on
+# the machine that recorded the stream.
 benchdiff:
 	$(GO) run ./cmd/benchdiff -old $(BENCH_BASELINE) -new $(BENCH_OUT) \
 		-ratio 'BenchmarkServeBatched/batched,BenchmarkServeBatched/unbatched' \
-		-ratio 'BenchmarkIncrementalVsFull/10x/incremental,BenchmarkIncrementalVsFull/10x/full,0.5'
+		-ratio 'BenchmarkIncrementalVsFull/10x/incremental,BenchmarkIncrementalVsFull/10x/full,0.5' \
+		-ratio 'BenchmarkSwapPropose,BenchmarkIncrementalVsFull/paper/incremental,2'
 
 # Regenerate the documented experiment snapshot. Deterministic: the same
 # seed writes the same bytes at any -workers value on any machine.
@@ -109,10 +115,12 @@ fmt-check: paper-check
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# 10-second fuzz pass per target: the spec parsers (dist and server) and
-# the incremental-evaluator apply/revert walk. `go test -fuzz` takes one
-# target per invocation, hence three runs.
+# 10-second fuzz pass per target: the spec parsers (dist and server), the
+# incremental-evaluator apply/revert walk and the density grid's tracked
+# router state. `go test -fuzz` takes one target per invocation, hence four
+# runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalApplyRevert$$' -fuzztime 10s ./internal/wmn
+	$(GO) test -run '^$$' -fuzz '^FuzzDensityGridTrack$$' -fuzztime 10s ./internal/wmn

@@ -419,6 +419,11 @@ func BenchmarkPlacement(b *testing.B) {
 	}
 }
 
+// BenchmarkSwapPropose walks a chain of swap proposals on the paper-scale
+// instance, each step proposing from the previous step's neighbor as the
+// search drivers do. `make benchdiff` gates its ns/op against
+// BenchmarkIncrementalVsFull/paper/incremental, the evaluation of the
+// same-sized move on the same instance.
 func BenchmarkSwapPropose(b *testing.B) {
 	in := benchInstance(b)
 	p, err := placement.New(placement.Random, placement.Options{})
@@ -432,9 +437,15 @@ func BenchmarkSwapPropose(b *testing.B) {
 	dst := wmn.NewSolution(in.NumRouters())
 	mv := localsearch.NewSwapMovement()
 	r := rng.New(2)
+	var buf []int
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mv.Propose(in, sol, dst, r)
+		var ok bool
+		buf, ok = mv.ProposeDelta(in, sol, dst, r, buf)
+		if ok {
+			copy(sol.Positions, dst.Positions)
+		}
 	}
 }
 

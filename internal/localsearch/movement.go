@@ -121,6 +121,10 @@ func (RandomMovement) ProposeDelta(in *wmn.Instance, sol wmn.Solution, dst wmn.S
 //     back. Without some relocation the per-cell router counts are
 //     invariant under the literal exchange, and the giant component can
 //     never grow past what the initial placement's cell occupancy allows.
+//
+// A SwapMovement holds per-search state — the density grid tracking the
+// last proposal's solution and the candidate-cell buffers — and is not
+// safe for concurrent use. Build one per search.
 type SwapMovement struct {
 	// CellW and CellH are Algorithm 3's Hg×Wg small-area dimensions.
 	// Defaults: 16×16.
@@ -140,7 +144,16 @@ type SwapMovement struct {
 	VirtualSlotProb float64
 
 	density *wmn.DensityGrid
-	forInst *wmn.Instance
+	gridFor swapGridKey
+	dense   []int
+	sparse  []int
+}
+
+// swapGridKey identifies what a SwapMovement's cached density grid was
+// built for: a change of instance or cell size needs a new grid.
+type swapGridKey struct {
+	in           *wmn.Instance
+	cellW, cellH float64
 }
 
 // NewSwapMovement returns the swap movement with the defaults used by the
@@ -180,35 +193,36 @@ func (s *SwapMovement) ProposeDelta(in *wmn.Instance, sol wmn.Solution, dst wmn.
 	if len(sol.Positions) == 0 {
 		return buf[:0], false
 	}
-	if s.density == nil || s.forInst != in {
+	key := swapGridKey{in: in, cellW: s.CellW, cellH: s.CellH}
+	if s.gridFor != key {
 		d, err := wmn.NewDensityGrid(in, s.CellW, s.CellH)
 		if err != nil {
 			return buf[:0], false
 		}
 		s.density = d
-		s.forInst = in
+		s.gridFor = key
 	}
 	d := s.density
 	d.CountRouters(sol)
 
 	// Step 3: position of a most dense area (randomized among the top K).
-	denseCands := d.DensestCells(s.TopK, s.ClientWeight, s.RouterWeight)
-	if len(denseCands) == 0 {
+	s.dense = d.DensestCells(s.TopK, s.ClientWeight, s.RouterWeight, s.dense)
+	if len(s.dense) == 0 {
 		return buf[:0], false
 	}
-	dense := denseCands[r.IntN(len(denseCands))]
+	dense := s.dense[r.IntN(len(s.dense))]
 
 	// Step 5: position of a most sparse area that still holds a router.
-	sparseCands := d.SparsestCells(s.TopK, s.ClientWeight, s.RouterWeight, func(cell int) bool {
+	s.sparse = d.SparsestCells(s.TopK, s.ClientWeight, s.RouterWeight, func(cell int) bool {
 		return cell != dense && d.RouterCount(cell) > 0
-	})
-	if len(sparseCands) == 0 {
+	}, s.sparse)
+	if len(s.sparse) == 0 {
 		return buf[:0], false
 	}
-	sparse := sparseCands[r.IntN(len(sparseCands))]
+	sparse := s.sparse[r.IntN(len(s.sparse))]
 
 	// Step 6: most powerful router within the sparse area.
-	best := extremeRouter(in, d, sol, sparse, true /* mostPowerful */)
+	best := extremeRouter(in, d, sparse, true /* mostPowerful */)
 	if best < 0 {
 		return buf[:0], false
 	}
@@ -218,7 +232,7 @@ func (s *SwapMovement) ProposeDelta(in *wmn.Instance, sol wmn.Solution, dst wmn.
 	// Step 4: least powerful router within the dense area — or a virtual
 	// slot, either because the dense area is empty or because the
 	// proposal drew a virtual-slot move (DESIGN.md §3).
-	worst := extremeRouter(in, d, sol, dense, false /* mostPowerful */)
+	worst := extremeRouter(in, d, dense, false /* mostPowerful */)
 	if worst < 0 || worst == best || r.Float64() < s.VirtualSlotProb {
 		if worst < 0 && s.VirtualSlotProb <= 0 {
 			return buf[:0], false // faithful mode cannot move into an empty cell
@@ -250,12 +264,12 @@ func (s *SwapMovement) ProposeDelta(in *wmn.Instance, sol wmn.Solution, dst wmn.
 }
 
 // extremeRouter returns the index of the most (or least) powerful router in
-// the cell, or -1 when the cell holds none. Ties break toward the lower
-// index for determinism.
-func extremeRouter(in *wmn.Instance, d *wmn.DensityGrid, sol wmn.Solution, cell int, mostPowerful bool) int {
+// the cell as last counted into the grid, or -1 when the cell holds none.
+// Ties break toward the lower index for determinism.
+func extremeRouter(in *wmn.Instance, d *wmn.DensityGrid, cell int, mostPowerful bool) int {
 	bestIdx := -1
 	var bestRadius float64
-	for _, i := range d.RoutersIn(sol, cell) {
+	for i := range d.RoutersIn(cell) {
 		radius := in.Radii[i]
 		if bestIdx == -1 ||
 			(mostPowerful && radius > bestRadius) ||

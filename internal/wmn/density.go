@@ -2,6 +2,7 @@ package wmn
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"meshplace/internal/geom"
@@ -12,12 +13,22 @@ import (
 // density (§3), and the swap movement of the neighborhood search locates
 // its "most dense" and "most sparse" Hg×Wg areas on it (Algorithm 3).
 //
-// Client counts are fixed per instance; router counts are recomputed from a
-// solution with CountRouters.
+// Client counts are fixed per instance. Router state is tracked: the grid
+// keeps a snapshot of the positions CountRouters last saw, each router's
+// cell, and each cell's members, so a later CountRouters only moves the
+// routers whose positions changed. After it is built, the grid allocates
+// nothing, and its tracked state always equals a recount from scratch.
 type DensityGrid struct {
 	grid    geom.Grid
 	clients []int
-	routers []int
+	routers []int // routers per cell
+
+	// Tracked router state, allocated by the first CountRouters call so
+	// that grids which only rank clients (HotSpot) never pay for it.
+	pos  []geom.Point // positions as of the last CountRouters call
+	cell []int        // cell of each router
+	head []int        // first (lowest-index) member of each cell, -1 if none
+	next []int        // next-higher member of the router's cell, -1 at the end
 }
 
 // NewDensityGrid builds a grid of cellW×cellH cells over the instance area
@@ -51,14 +62,101 @@ func (d *DensityGrid) ClientCount(cell int) int { return d.clients[cell] }
 // last CountRouters call.
 func (d *DensityGrid) RouterCount(cell int) int { return d.routers[cell] }
 
-// CountRouters recounts the solution's router positions into the grid,
-// replacing any previous router counts.
+// CountRouters makes the grid's router counts and members describe the
+// solution, replacing whatever an earlier call counted. The first call, or
+// a call with a different router count, counts every router; later calls
+// re-cell only the routers whose positions differ from the previous call's.
 func (d *DensityGrid) CountRouters(sol Solution) {
-	for i := range d.routers {
-		d.routers[i] = 0
+	if len(sol.Positions) != len(d.pos) {
+		d.rebuild(sol)
+		return
 	}
-	for _, p := range sol.Positions {
-		d.routers[d.grid.CellIndex(p)]++
+	for i, p := range sol.Positions {
+		if p == d.pos[i] {
+			continue
+		}
+		d.pos[i] = p
+		if c := d.grid.CellIndex(p); c != d.cell[i] {
+			d.unlink(i)
+			d.cell[i] = c
+			d.link(i)
+		}
+	}
+}
+
+// rebuild counts every router of the solution from scratch.
+func (d *DensityGrid) rebuild(sol Solution) {
+	n := len(sol.Positions)
+	d.pos = append(d.pos[:0], sol.Positions...)
+	d.cell = resize(d.cell, n)
+	d.next = resize(d.next, n)
+	if d.head == nil {
+		d.head = make([]int, d.NumCells())
+	}
+	for c := range d.head {
+		d.head[c] = -1
+		d.routers[c] = 0
+	}
+	// Pushing in descending index order leaves every list ascending.
+	for i := n - 1; i >= 0; i-- {
+		c := d.grid.CellIndex(sol.Positions[i])
+		d.cell[i] = c
+		d.next[i] = d.head[c]
+		d.head[c] = i
+		d.routers[c]++
+	}
+}
+
+func resize(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
+}
+
+// link inserts router i into its cell's member list, keeping it ascending.
+func (d *DensityGrid) link(i int) {
+	c := d.cell[i]
+	d.routers[c]++
+	prev, j := -1, d.head[c]
+	for j >= 0 && j < i {
+		prev, j = j, d.next[j]
+	}
+	d.next[i] = j
+	if prev < 0 {
+		d.head[c] = i
+	} else {
+		d.next[prev] = i
+	}
+}
+
+// unlink removes router i from its cell's member list.
+func (d *DensityGrid) unlink(i int) {
+	c := d.cell[i]
+	d.routers[c]--
+	if d.head[c] == i {
+		d.head[c] = d.next[i]
+		return
+	}
+	j := d.head[c]
+	for d.next[j] != i {
+		j = d.next[j]
+	}
+	d.next[j] = d.next[i]
+}
+
+// RoutersIn yields the indices of the routers in the cell, ascending, as
+// counted by the last CountRouters call.
+func (d *DensityGrid) RoutersIn(cell int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		if d.head == nil {
+			return // no CountRouters call yet
+		}
+		for i := d.head[cell]; i >= 0; i = d.next[i] {
+			if !yield(i) {
+				return
+			}
+		}
 	}
 }
 
@@ -87,39 +185,61 @@ func (d *DensityGrid) RankCells(clientWeight, routerWeight float64) []int {
 	return order
 }
 
-// DensestCells returns up to k cell indices with the highest score.
-func (d *DensityGrid) DensestCells(k int, clientWeight, routerWeight float64) []int {
-	ranked := d.RankCells(clientWeight, routerWeight)
-	if k < len(ranked) {
-		ranked = ranked[:k]
+// DensestCells writes into buf the first k cells of the RankCells order —
+// score descending, ties toward the lower index — and returns them. It
+// selects them in one pass over the cells without sorting.
+func (d *DensityGrid) DensestCells(k int, clientWeight, routerWeight float64, buf []int) []int {
+	out := buf[:0]
+	if k <= 0 {
+		return out
 	}
-	return ranked
-}
-
-// SparsestCells returns up to k cell indices with the lowest score among
-// cells that satisfy the filter (pass nil to accept all cells). The swap
-// movement uses the filter to restrict "sparse" to cells that still hold a
-// router to take away.
-func (d *DensityGrid) SparsestCells(k int, clientWeight, routerWeight float64, filter func(cell int) bool) []int {
-	ranked := d.RankCells(clientWeight, routerWeight)
-	out := make([]int, 0, k)
-	for i := len(ranked) - 1; i >= 0 && len(out) < k; i-- {
-		cell := ranked[i]
-		if filter == nil || filter(cell) {
-			out = append(out, cell)
+	for c := range d.clients {
+		s := d.Score(c, clientWeight, routerWeight)
+		// Cells arrive in ascending index order, so c ranks after every
+		// kept cell of equal score.
+		if len(out) == k && s <= d.Score(out[k-1], clientWeight, routerWeight) {
+			continue
 		}
+		if len(out) < k {
+			out = append(out, c)
+		}
+		j := len(out) - 1
+		for ; j > 0 && d.Score(out[j-1], clientWeight, routerWeight) < s; j-- {
+			out[j] = out[j-1]
+		}
+		out[j] = c
 	}
 	return out
 }
 
-// RoutersIn returns the indices of the solution's routers inside the cell,
-// ascending.
-func (d *DensityGrid) RoutersIn(sol Solution, cell int) []int {
-	var out []int
-	for i, p := range sol.Positions {
-		if d.grid.CellIndex(p) == cell {
-			out = append(out, i)
+// SparsestCells writes into buf the first k cells that satisfy the filter
+// (nil accepts all cells) when the RankCells order is read backwards —
+// score ascending, ties toward the higher index — and returns them. The
+// swap movement uses the filter to restrict "sparse" to cells that still
+// hold a router to take away. It selects them in one pass without sorting.
+func (d *DensityGrid) SparsestCells(k int, clientWeight, routerWeight float64, filter func(cell int) bool, buf []int) []int {
+	out := buf[:0]
+	if k <= 0 {
+		return out
+	}
+	for c := range d.clients {
+		if filter != nil && !filter(c) {
+			continue
 		}
+		s := d.Score(c, clientWeight, routerWeight)
+		// Cells arrive in ascending index order, so c ranks before every
+		// kept cell of equal score.
+		if len(out) == k && s > d.Score(out[k-1], clientWeight, routerWeight) {
+			continue
+		}
+		if len(out) < k {
+			out = append(out, c)
+		}
+		j := len(out) - 1
+		for ; j > 0 && d.Score(out[j-1], clientWeight, routerWeight) >= s; j-- {
+			out[j] = out[j-1]
+		}
+		out[j] = c
 	}
 	return out
 }

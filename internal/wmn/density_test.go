@@ -1,9 +1,11 @@
 package wmn
 
 import (
+	"slices"
 	"testing"
 
 	"meshplace/internal/geom"
+	"meshplace/internal/rng"
 )
 
 // densityInstance: 64×64 area, clients concentrated in the top-left 16×16
@@ -106,14 +108,14 @@ func TestDensestAndSparsestCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense := d.DensestCells(2, 1, 0)
+	dense := d.DensestCells(2, 1, 0, nil)
 	if len(dense) != 2 {
 		t.Fatalf("DensestCells(2) returned %d cells", len(dense))
 	}
 	if d.ClientCount(dense[0]) < d.ClientCount(dense[1]) {
 		t.Error("densest cells out of order")
 	}
-	sparse := d.SparsestCells(3, 1, 0, nil)
+	sparse := d.SparsestCells(3, 1, 0, nil, nil)
 	if len(sparse) != 3 {
 		t.Fatalf("SparsestCells(3) returned %d cells", len(sparse))
 	}
@@ -134,7 +136,7 @@ func TestSparsestCellsFilter(t *testing.T) {
 	d.CountRouters(sol)
 	withRouters := d.SparsestCells(5, 1, 0, func(cell int) bool {
 		return d.RouterCount(cell) > 0
-	})
+	}, nil)
 	if len(withRouters) != 2 {
 		t.Fatalf("filtered sparse cells = %d, want 2 (two occupied cells)", len(withRouters))
 	}
@@ -152,8 +154,9 @@ func TestRoutersIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	sol := Solution{Positions: []geom.Point{geom.Pt(1, 1), geom.Pt(2, 2), geom.Pt(60, 60)}}
+	d.CountRouters(sol)
 	cell := d.Grid().CellIndex(geom.Pt(1, 1))
-	got := d.RoutersIn(sol, cell)
+	got := slices.Collect(d.RoutersIn(cell))
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Errorf("RoutersIn = %v, want [0 1]", got)
 	}
@@ -167,4 +170,123 @@ func TestDensityGridRejectsBadCells(t *testing.T) {
 	if _, err := NewDensityGrid(in, -2, -2); err == nil {
 		t.Error("negative cell size accepted")
 	}
+}
+
+// FuzzDensityGridTrack drives the tracked router state through a random
+// walk — moves inside a cell, moves across cells, no-op rewrites, points
+// clamped at the border, multi-router exchanges and wholesale replacement
+// with a solution of any size — and checks after every step that counts,
+// members and the K-cell selections equal a from-scratch recount and the
+// sort-based RankCells ordering. ops picks the step kinds; seed picks
+// the cell size and the coordinates.
+func FuzzDensityGridTrack(f *testing.F) {
+	in, err := Generate(DefaultGenConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for seed := uint64(0); seed < 8; seed++ {
+		f.Add(seed, []byte{0, 1, 2, 3, 4, 5, 1, 0, 3, 5, 2, 4, byte(seed)})
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
+		r := rng.New(seed)
+		sizes := [][2]float64{{16, 16}, {8, 16}, {10, 20}, {30, 7}, {128, 128}}
+		size := sizes[r.IntN(len(sizes))]
+		d, err := NewDensityGrid(in, size[0], size[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := d.Grid()
+		sol := randomTestSolution(in, r)
+		checkTracked(t, d, sol, -1)
+		for step, op := range ops {
+			n := len(sol.Positions)
+			switch op % 6 {
+			case 0: // move inside the router's current cell
+				if n > 0 {
+					i := r.IntN(n)
+					cell := g.Cell(g.CellIndex(sol.Positions[i]))
+					sol.Positions[i] = geom.Pt(cell.Min.X+r.Float64()*cell.Width(), cell.Min.Y+r.Float64()*cell.Height())
+				}
+			case 1: // move anywhere, usually to another cell
+				if n > 0 {
+					sol.Positions[r.IntN(n)] = geom.Pt(r.Float64()*in.Width, r.Float64()*in.Height)
+				}
+			case 2: // rewrite the same positions into a fresh slice
+				sol = sol.Clone()
+			case 3: // move outside the area: the grid clamps to a border cell
+				if n > 0 {
+					sol.Positions[r.IntN(n)] = geom.Pt((r.Float64()*3-1)*in.Width, (r.Float64()*3-1)*in.Height)
+				}
+			case 4: // wholesale replacement, possibly with another router count
+				sol = NewSolution(r.IntN(2 * in.NumRouters()))
+				for i := range sol.Positions {
+					sol.Positions[i] = geom.Pt(r.Float64()*in.Width, r.Float64()*in.Height)
+				}
+			case 5: // exchange two routers' positions, as the swap movement does
+				if n > 0 {
+					i, j := r.IntN(n), r.IntN(n)
+					sol.Positions[i], sol.Positions[j] = sol.Positions[j], sol.Positions[i]
+				}
+			}
+			checkTracked(t, d, sol, step)
+		}
+	})
+}
+
+// checkTracked counts sol into d and compares the tracked state with a
+// from-scratch recount and the selections with the RankCells ordering.
+func checkTracked(t *testing.T, d *DensityGrid, sol Solution, step int) {
+	t.Helper()
+	d.CountRouters(sol)
+	members := make([][]int, d.NumCells())
+	for i, p := range sol.Positions {
+		c := d.Grid().CellIndex(p)
+		members[c] = append(members[c], i)
+	}
+	for c := range members {
+		if got := d.RouterCount(c); got != len(members[c]) {
+			t.Fatalf("step %d: cell %d counts %d routers, recount %d", step, c, got, len(members[c]))
+		}
+		if got := slices.Collect(d.RoutersIn(c)); !slices.Equal(got, members[c]) {
+			t.Fatalf("step %d: cell %d members %v, recount %v", step, c, got, members[c])
+		}
+	}
+	var buf []int
+	for _, w := range [][2]float64{{1, 0.25}, {1, 0}, {0.5, 1}, {0, 1}, {1, -0.5}} {
+		ranked := d.RankCells(w[0], w[1])
+		backwards := slices.Clone(ranked)
+		slices.Reverse(backwards)
+		filters := []func(cell int) bool{
+			nil,
+			// The swap movement's filter: occupied, and not the dense cell.
+			func(cell int) bool { return cell != ranked[0] && d.RouterCount(cell) > 0 },
+		}
+		for _, k := range []int{0, 1, 3, 4, 7, len(ranked), len(ranked) + 2} {
+			buf = d.DensestCells(k, w[0], w[1], buf)
+			if want := firstK(ranked, k, nil); !slices.Equal(buf, want) {
+				t.Fatalf("step %d: DensestCells(%d, %v) = %v, RankCells prefix %v", step, k, w, buf, want)
+			}
+			for fi, filter := range filters {
+				buf = d.SparsestCells(k, w[0], w[1], filter, buf)
+				if want := firstK(backwards, k, filter); !slices.Equal(buf, want) {
+					t.Fatalf("step %d: SparsestCells(%d, %v, filter %d) = %v, reversed RankCells %v", step, k, w, fi, buf, want)
+				}
+			}
+		}
+	}
+}
+
+// firstK returns the first k cells of order that pass the filter (nil
+// passes all).
+func firstK(order []int, k int, filter func(cell int) bool) []int {
+	var out []int
+	for _, c := range order {
+		if len(out) == k {
+			break
+		}
+		if filter == nil || filter(c) {
+			out = append(out, c)
+		}
+	}
+	return out
 }
