@@ -61,13 +61,14 @@ race:
 # portfolio race against each member standalone at one shared evaluation
 # budget). Two high-iteration passes follow, so the ratio gates read
 # steady-state numbers: BenchmarkIncrementalVsFull and BenchmarkSwapPropose,
-# the chained swap proposal. The test2json event stream is written
+# the chained swap proposal; each takes 5 samples, of which benchdiff keeps
+# the fastest. The test2json event stream is written
 # to $(BENCH_OUT) so the perf trajectory is recorded per PR and can be
 # diffed across commits with `make benchdiff`.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 3x -json ./... > $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench BenchmarkIncrementalVsFull -benchtime 1000x -json ./internal/wmn >> $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench '^BenchmarkSwapPropose$$' -benchtime 1000x -json . >> $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench BenchmarkIncrementalVsFull -benchtime 1000x -count 5 -benchmem -json ./internal/wmn >> $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench '^BenchmarkSwapPropose$$' -benchtime 1000x -count 5 -benchmem -json . >> $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT) ($$(wc -l < $(BENCH_OUT)) events)"
 
 # Per-benchmark ns/op deltas between the committed baseline stream and the
@@ -75,13 +76,17 @@ bench:
 # BenchmarkIncrementalVsFull) slows down more than 25%, or when a
 # within-stream ratio gate fails: batched serving must not lose to the
 # unbatched path, incremental evaluation must stay at or under half of
-# full evaluation, and one swap proposal must cost at most twice one
-# incremental evaluation on the same paper-scale instance, all measured on
-# the machine that recorded the stream.
+# full evaluation, a one-router σ=2 nudge (which mostly keeps the router's
+# neighbor set, so Apply skips the connectivity pass and Revert has no
+# links to restore) must cost at most 2.5% of a full evaluation at 10×
+# scale, and one swap proposal must cost at most twice one incremental
+# evaluation on the same paper-scale instance, all measured on the machine
+# that recorded the stream.
 benchdiff:
 	$(GO) run ./cmd/benchdiff -old $(BENCH_BASELINE) -new $(BENCH_OUT) \
 		-ratio 'BenchmarkServeBatched/batched,BenchmarkServeBatched/unbatched' \
 		-ratio 'BenchmarkIncrementalVsFull/10x/incremental,BenchmarkIncrementalVsFull/10x/full,0.5' \
+		-ratio 'BenchmarkIncrementalVsFull/10x/nudge,BenchmarkIncrementalVsFull/10x/full,0.025' \
 		-ratio 'BenchmarkSwapPropose,BenchmarkIncrementalVsFull/paper/incremental,2'
 
 # Regenerate the documented experiment snapshot. Deterministic: the same
@@ -116,11 +121,13 @@ fmt-check: paper-check
 	fi
 
 # 10-second fuzz pass per target: the spec parsers (dist and server), the
-# incremental-evaluator apply/revert walk and the density grid's tracked
-# router state. `go test -fuzz` takes one target per invocation, hence four
-# runs.
+# incremental-evaluator apply/revert walk (teleports, nudges, unmoved and
+# empty moves, no-diff rebases), the density grid's tracked router state
+# and the result journal's replay of a corrupt tail. `go test -fuzz` takes
+# one target per invocation, hence five runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalApplyRevert$$' -fuzztime 10s ./internal/wmn
 	$(GO) test -run '^$$' -fuzz '^FuzzDensityGridTrack$$' -fuzztime 10s ./internal/wmn
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s ./internal/cluster

@@ -68,11 +68,6 @@ type JournalStats struct {
 // journalHeader is the fixed-size record prefix (key length, value length).
 const journalHeader = 8
 
-// maxJournalRecord rejects absurd length prefixes during replay, so a
-// corrupt header reads as a torn tail instead of a huge allocation. Solve
-// payloads are far below this.
-const maxJournalRecord = 256 << 20
-
 // OpenJournal opens (creating if needed) the journal at path, replays its
 // intact records into memory, and truncates any torn tail so the next
 // append lands on a record boundary.
@@ -82,15 +77,15 @@ func OpenJournal(path string) (*Journal, error) {
 		return nil, fmt.Errorf("cluster: open journal: %w", err)
 	}
 	j := &Journal{f: f, m: map[string][]byte{}}
-	good, err := j.replay()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("cluster: seek journal: %w", err)
+	}
+	good, err := j.replay(size)
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
 	if size > good {
 		// Torn tail: the process died mid-append (or the tail is corrupt).
@@ -99,20 +94,23 @@ func OpenJournal(path string) (*Journal, error) {
 			f.Close()
 			return nil, fmt.Errorf("cluster: truncate torn journal tail: %w", err)
 		}
-		if _, err := f.Seek(good, io.SeekStart); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("cluster: seek journal: %w", err)
-		}
 		j.stats.DiscardedBytes = size - good
+	}
+	if _, err := f.Seek(good, io.SeekStart); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("cluster: seek journal: %w", err)
 	}
 	j.end = good
 	j.stats.Entries = len(j.m)
 	return j, nil
 }
 
-// replay reads records from the start of the file until EOF or the first
-// torn/corrupt record, returning the byte offset after the last good one.
-func (j *Journal) replay() (good int64, err error) {
+// replay reads records from the start of a file of size bytes until EOF or
+// the first torn/corrupt record, returning the byte offset after the last
+// good one. A header is checked against the bytes left in the file before
+// its record is read, so a corrupt length reads as a torn tail instead of
+// an allocation of that length.
+func (j *Journal) replay(size int64) (good int64, err error) {
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
 		return 0, fmt.Errorf("cluster: seek journal: %w", err)
 	}
@@ -126,12 +124,12 @@ func (j *Journal) replay() (good int64, err error) {
 		}
 		keyLen := binary.LittleEndian.Uint32(head[0:4])
 		valLen := binary.LittleEndian.Uint32(head[4:8])
-		if keyLen == 0 || uint64(keyLen)+uint64(valLen) > maxJournalRecord {
-			return off, nil // corrupt header: treat as torn tail
+		if keyLen == 0 || int64(keyLen)+int64(valLen)+4 > size-off-journalHeader {
+			return off, nil // corrupt header or torn mid-record
 		}
 		buf := make([]byte, int(keyLen)+int(valLen)+4)
 		if _, err := io.ReadFull(r, buf); err != nil {
-			return off, nil // torn mid-record
+			return off, nil // a read error or a file shrunk since Open: stop here
 		}
 		body := buf[:keyLen+valLen]
 		want := binary.LittleEndian.Uint32(buf[keyLen+valLen:])

@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -217,4 +221,82 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return fi.Size()
+}
+
+// TestJournalOverlongHeaderDoesNotAllocate pins the replay bound: a header
+// claiming a record longer than the rest of the file is a torn tail,
+// discarded without allocating the claimed length.
+func TestJournalOverlongHeaderDoesNotAllocate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "overlong.journal")
+	var rec [journalHeader + 10]byte
+	binary.LittleEndian.PutUint32(rec[0:4], 8)
+	binary.LittleEndian.PutUint32(rec[4:8], 200<<20)
+	if err := os.WriteFile(path, rec[:], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	j := openTestJournal(t, path)
+	runtime.ReadMemStats(&after)
+	if st := j.Stats(); st.Replayed != 0 || st.DiscardedBytes != 18 {
+		t.Errorf("stats = %+v, want nothing replayed and 18 bytes discarded", st)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("opening allocated %d bytes", grew)
+	}
+}
+
+// FuzzJournalReplay appends arbitrary bytes to a journal of intact records.
+// Open must not panic and must replay every intact record (the fuzz tail
+// may add records of its own only by forming valid ones), and a reopen of
+// the truncated file must replay exactly the same set, cleanly.
+func FuzzJournalReplay(f *testing.F) {
+	var overlong [journalHeader]byte
+	binary.LittleEndian.PutUint32(overlong[0:4], 1)
+	binary.LittleEndian.PutUint32(overlong[4:8], 200<<20)
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3})
+	f.Add(overlong[:])
+	f.Add(append(overlong[:], "k-and-some-value-bytes"...))
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.journal")
+		j, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const intact = 3
+		for i := 0; i < intact; i++ {
+			j.Put(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("value-%d", i)))
+		}
+		j.Close()
+		fh, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fh.Write(tail); err != nil {
+			t.Fatal(err)
+		}
+		if err := fh.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		first := openTestJournal(t, path)
+		st := first.Stats()
+		if st.Replayed < intact {
+			t.Fatalf("replayed %d records, want at least the %d intact ones", st.Replayed, intact)
+		}
+		for i := 0; i < intact; i++ {
+			if b, ok := first.Get(fmt.Sprintf("key-%d", i)); !ok || string(b) != fmt.Sprintf("value-%d", i) {
+				t.Fatalf("key-%d after replay: %q (ok=%v)", i, b, ok)
+			}
+		}
+		first.Close()
+		re := openTestJournal(t, path)
+		if got := re.Stats(); got.Replayed != st.Replayed || got.Entries != st.Entries || got.DiscardedBytes != 0 {
+			t.Fatalf("reopen stats %+v after first open %+v", got, st)
+		}
+		if !maps.EqualFunc(first.m, re.m, bytes.Equal) {
+			t.Fatal("reopen replayed a different record set")
+		}
+	})
 }

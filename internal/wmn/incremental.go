@@ -2,6 +2,7 @@ package wmn
 
 import (
 	"fmt"
+	"slices"
 
 	"meshplace/internal/geom"
 	"meshplace/internal/spatial"
@@ -12,15 +13,19 @@ import (
 // router adjacency lists, the link count, a per-client cover count and (for
 // large instances) a spatial index whose points move between buckets instead
 // of being rebuilt, so re-evaluating a neighbor that moves k routers costs
-// O(k·(deg + clients-in-disk)) plus one connectivity pass over the
-// adjacency lists — instead of the full O(N²) pair scan (or a fresh index
-// allocation) and the O(N·c) coverage rescan of Evaluator.Evaluate.
+// O(k·(deg + clients-in-disk)) — instead of the full O(N²) pair scan (or a
+// fresh index allocation) and the O(N·c) coverage rescan of
+// Evaluator.Evaluate. A connectivity pass over the adjacency lists is added
+// only when the move changes some moved router's neighbor set (or the
+// coverage model is CoverGiantOnly); Revert replays a log of the changed
+// links instead of scanning for them.
 //
 // The engine is exact, not approximate: for any sequence of Apply, Revert
 // and Rebase calls the returned Metrics are identical — including the
 // Fitness bits — to Evaluator.Evaluate on the same positions. The
 // equivalence is pinned by fuzzed apply/revert tests against the full
-// evaluator across the scenario corpus.
+// evaluator across the scenario corpus, whose walks mix teleports with the
+// small nudges that keep neighbor sets and so take the skip path.
 //
 // Usage follows the search hot loops: Apply moves the tracked solution to a
 // neighbor and returns its metrics; Revert undoes the most recent Apply
@@ -48,9 +53,14 @@ type IncrementalEvaluator struct {
 
 	curMetrics Metrics
 
-	// Single-level revert log.
+	// Single-level revert log: the moved routers and their outgoing
+	// positions, the links the move dropped and added, whether those were
+	// the same set, and the metrics before the move.
 	lastMoved   []int
 	lastPos     []geom.Point
+	dropped     []arc
+	added       []arc
+	sameLinks   bool
 	lastMetrics Metrics
 	canRevert   bool
 
@@ -149,6 +159,11 @@ func (ie *IncrementalEvaluator) CopyCurrent(dst Solution) {
 // moved index whose position did not actually change is allowed and
 // harmless. The move replaces the revert log: Revert undoes exactly the
 // latest Apply.
+//
+// Apply logs every link it drops and adds. When the moved routers keep
+// exactly their neighbor sets the link graph is unchanged, so under
+// CoverAnyRouter the connectivity pass is skipped and the move costs only
+// its link scan and coverage update.
 func (ie *IncrementalEvaluator) Apply(moved []int, sol Solution) Metrics {
 	n := len(ie.cur.Positions)
 	if len(sol.Positions) != n {
@@ -156,10 +171,13 @@ func (ie *IncrementalEvaluator) Apply(moved []int, sol Solution) Metrics {
 			len(sol.Positions), n))
 	}
 	// Dedupe moved into the revert log, recording the outgoing positions.
+	// The marks also tell the link scan which routers are moving.
 	ie.movedEpoch++
 	ie.lastMoved = ie.lastMoved[:0]
 	ie.lastPos = ie.lastPos[:0]
 	ie.newPos = ie.newPos[:0]
+	ie.dropped = ie.dropped[:0]
+	ie.added = ie.added[:0]
 	for _, m := range moved {
 		if m < 0 || m >= n {
 			panic(fmt.Sprintf("wmn: incremental: moved router %d outside [0,%d)", m, n))
@@ -175,13 +193,18 @@ func (ie *IncrementalEvaluator) Apply(moved []int, sol Solution) Metrics {
 	ie.lastMetrics = ie.curMetrics
 	ie.canRevert = true
 	// Empty-delta moves happen in practice (a clamped border nudge lands
-	// back on the same point); skip the connectivity pass, the state is
-	// unchanged.
+	// back on the same point); the state is unchanged and the log, reset
+	// above, gives Revert nothing to replay.
 	if len(ie.lastMoved) == 0 {
 		return ie.curMetrics
 	}
-	ie.moveTo(ie.lastMoved, ie.newPos)
-	ie.curMetrics = ie.computeMetrics()
+	ie.sameLinks = ie.move()
+	if ie.sameLinks && ie.eval.opts.Coverage == CoverAnyRouter {
+		// Same graph, same components; only the coverage moved.
+		ie.curMetrics = ie.assemble(ie.curMetrics.GiantSize, ie.curMetrics.Components, ie.coveredAny)
+	} else {
+		ie.curMetrics = ie.computeMetrics()
+	}
 	return ie.curMetrics
 }
 
@@ -206,32 +229,62 @@ func (ie *IncrementalEvaluator) Rebase(sol Solution) Metrics {
 }
 
 // Revert undoes the most recent Apply (or Rebase), restoring the previous
-// solution and metrics. It panics when there is nothing to revert —
-// reverting twice, or before any Apply, is a caller bug.
+// solution and metrics. It replays the arc log instead of re-scanning for
+// links: the added arcs go, the dropped ones come back, and neither step
+// is needed when the move kept every neighbor set. It panics when there is
+// nothing to revert — reverting twice, or before any Apply, is a caller
+// bug.
 func (ie *IncrementalEvaluator) Revert() {
 	if !ie.canRevert {
 		panic("wmn: incremental: Revert without a preceding Apply")
 	}
-	ie.moveTo(ie.lastMoved, ie.lastPos)
+	e := ie.eval
+	if !ie.sameLinks {
+		// Every added arc starts at a moved router, whose list then holds
+		// nothing else: clear those lists, then remove the other endpoint's
+		// half (already gone when that endpoint moved too).
+		for _, m := range ie.lastMoved {
+			ie.adj[m] = ie.adj[m][:0]
+		}
+		for _, a := range ie.added {
+			m, nb := a.ends()
+			ie.removeArc(nb, m)
+		}
+		for _, a := range ie.dropped {
+			ie.link(a.ends())
+		}
+		ie.links += len(ie.dropped) - len(ie.added)
+	}
+	for k, m := range ie.lastMoved {
+		r := e.inst.Radii[m]
+		ie.uncover(ie.cur.Positions[m], r)
+		if ie.routerIdx != nil {
+			ie.routerIdx.Move(m, ie.lastPos[k]) // shares cur.Positions backing
+		}
+		ie.cur.Positions[m] = ie.lastPos[k]
+		ie.cover(ie.cur.Positions[m], r)
+	}
 	ie.curMetrics = ie.lastMetrics
 	ie.canRevert = false
 }
 
-// moveTo relocates the moved routers to pos (parallel slices), updating
-// adjacency, link count and cover counts. It does not touch the metrics
-// cache or the revert log.
-func (ie *IncrementalEvaluator) moveTo(moved []int, pos []geom.Point) {
+// move relocates the routers in lastMoved (all marked with movedEpoch) to
+// newPos, updating adjacency, link count and cover counts, and logs each
+// link it drops and adds as an arc from a moved router. It reports whether
+// the added arcs are exactly the dropped ones: then every moved router kept
+// its neighbor set. A link between two moved routers is logged once in
+// each log, from the one earlier in lastMoved, so the two logs compare
+// as sets.
+func (ie *IncrementalEvaluator) move() bool {
 	e := ie.eval
-	ie.movedEpoch++
-	for _, m := range moved {
-		ie.movedMark[m] = ie.movedEpoch
-	}
+	moved := ie.lastMoved
 	// Drop every edge incident to a moved router. Edges between two moved
 	// routers disappear with the first endpoint; the second sees a shorter
 	// list, so the link count stays exact.
 	for _, m := range moved {
 		for _, nb := range ie.adj[m] {
-			ie.removeArc(int(nb), int32(m))
+			ie.removeArc(nb, int32(m))
+			ie.dropped = append(ie.dropped, makeArc(int32(m), nb))
 		}
 		ie.links -= len(ie.adj[m])
 		ie.adj[m] = ie.adj[m][:0]
@@ -243,9 +296,9 @@ func (ie *IncrementalEvaluator) moveTo(moved []int, pos []geom.Point) {
 	}
 	for k, m := range moved {
 		if ie.routerIdx != nil {
-			ie.routerIdx.Move(m, pos[k]) // shares cur.Positions backing
+			ie.routerIdx.Move(m, ie.newPos[k]) // shares cur.Positions backing
 		}
-		ie.cur.Positions[m] = pos[k]
+		ie.cur.Positions[m] = ie.newPos[k]
 	}
 	// Relink: moved↔stationary pairs come from the candidate scan (skipping
 	// marked routers so a pair of moved endpoints is not added twice), then
@@ -264,6 +317,12 @@ func (ie *IncrementalEvaluator) moveTo(moved []int, pos []geom.Point) {
 	for _, m := range moved {
 		ie.cover(ie.cur.Positions[m], e.inst.Radii[m])
 	}
+	if len(ie.added) != len(ie.dropped) {
+		return false
+	}
+	slices.Sort(ie.dropped)
+	slices.Sort(ie.added)
+	return slices.Equal(ie.dropped, ie.added)
 }
 
 // linkAgainstStationary adds every edge between the (already re-positioned)
@@ -286,15 +345,31 @@ func (ie *IncrementalEvaluator) linkAgainstStationary(m int) {
 	})
 }
 
-func (ie *IncrementalEvaluator) addEdge(i, j int) {
-	ie.adj[i] = append(ie.adj[i], int32(j))
-	ie.adj[j] = append(ie.adj[j], int32(i))
+// addEdge links the moved router m to j and logs the arc for Revert.
+func (ie *IncrementalEvaluator) addEdge(m, j int) {
+	ie.added = append(ie.added, makeArc(int32(m), int32(j)))
+	ie.link(int32(m), int32(j))
 	ie.links++
 }
 
+// link appends each endpoint to the other's adjacency list; the caller
+// keeps the link count.
+func (ie *IncrementalEvaluator) link(i, j int32) {
+	ie.adj[i] = append(ie.adj[i], j)
+	ie.adj[j] = append(ie.adj[j], i)
+}
+
+// arc is a logged link: the moved router in the high half, the other
+// endpoint in the low half. Packing makes the logs sortable as integers.
+type arc uint64
+
+func makeArc(m, nb int32) arc { return arc(uint64(uint32(m))<<32 | uint64(uint32(nb))) }
+
+func (a arc) ends() (m, nb int32) { return int32(a >> 32), int32(uint32(a)) }
+
 // removeArc deletes one occurrence of target from adj[v] by swap-remove;
 // adjacency order is not part of the evaluator's observable state.
-func (ie *IncrementalEvaluator) removeArc(v int, target int32) {
+func (ie *IncrementalEvaluator) removeArc(v, target int32) {
 	b := ie.adj[v]
 	for i, w := range b {
 		if w == target {
@@ -324,9 +399,7 @@ func (ie *IncrementalEvaluator) cover(p geom.Point, r float64) {
 }
 
 // computeMetrics runs the connectivity pass over the live adjacency lists
-// and assembles Metrics exactly as Evaluator.Evaluate does: identical
-// component discovery order, identical giant tie-break, identical fitness
-// expression — so the floats match bit for bit.
+// with Evaluator.Evaluate's component discovery order and giant tie-break.
 func (ie *IncrementalEvaluator) computeMetrics() Metrics {
 	e, n := ie.eval, len(ie.cur.Positions)
 	labels := ie.labels
@@ -368,6 +441,14 @@ func (ie *IncrementalEvaluator) computeMetrics() Metrics {
 	if e.opts.Coverage == CoverGiantOnly {
 		covered = ie.giantOnlyCovered(labels, giantID)
 	}
+	return ie.assemble(giant, len(sizes), covered)
+}
+
+// assemble builds the tracked solution's Metrics from its connectivity and
+// coverage counts with Evaluator.Evaluate's fitness expression, so the
+// floats match bit for bit. Every metrics path goes through it.
+func (ie *IncrementalEvaluator) assemble(giant, components, covered int) Metrics {
+	e, n := ie.eval, len(ie.cur.Positions)
 	mClients := e.inst.NumClients()
 	fitness := e.opts.Weights.Connectivity * float64(giant) / float64(n)
 	if mClients > 0 {
@@ -377,7 +458,7 @@ func (ie *IncrementalEvaluator) computeMetrics() Metrics {
 		GiantSize:  giant,
 		Covered:    covered,
 		Links:      ie.links,
-		Components: len(sizes),
+		Components: components,
 		Fitness:    fitness,
 	}
 }

@@ -14,7 +14,11 @@ import (
 // almost exclusively — on the full evaluator versus the incremental engine,
 // at paper scale (64 routers / 192 clients) and at 10× (640 / 1920, area
 // scaled to preserve density). The incremental/full ratio is the speedup
-// the PR's acceptance criterion pins at ≥ 5× for the 10× scale.
+// `make benchdiff` pins at ≥ 2× for the 10× scale. The nudge arm moves the
+// router by the perturb movement's clamped σ=2 Gaussian instead of a
+// teleport, so it mostly keeps the router's neighbor set and measures
+// Apply's skip path and the log-replay Revert; `make benchdiff` pins it at
+// or under the teleporting incremental arm.
 func BenchmarkIncrementalVsFull(b *testing.B) {
 	for _, scale := range []struct {
 		name string
@@ -66,6 +70,25 @@ func BenchmarkIncrementalVsFull(b *testing.B) {
 				j := r.IntN(len(scratch.Positions))
 				old := scratch.Positions[j]
 				scratch.Positions[j] = geom.Pt(r.Float64()*in.Width, r.Float64()*in.Height)
+				moved[0] = j
+				_ = ie.Apply(moved, scratch)
+				ie.Revert()
+				scratch.Positions[j] = old
+			}
+		})
+		b.Run(scale.name+"/nudge", func(b *testing.B) {
+			ie, err := NewIncrementalEvaluator(eval, base)
+			if err != nil {
+				b.Fatal(err)
+			}
+			scratch := base.Clone()
+			area := in.Area()
+			moved := make([]int, 1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				j := r.IntN(len(scratch.Positions))
+				old := scratch.Positions[j]
+				scratch.Positions[j] = area.Clamp(geom.Pt(old.X+r.NormFloat64()*2, old.Y+r.NormFloat64()*2))
 				moved[0] = j
 				_ = ie.Apply(moved, scratch)
 				ie.Revert()

@@ -2,6 +2,7 @@ package wmn
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"meshplace/internal/geom"
@@ -16,10 +17,26 @@ func randomTestSolution(in *Instance, r *rng.Rand) Solution {
 	return sol
 }
 
-// driveEquivalence runs a random apply/revert walk and asserts after every
-// operation that the incremental metrics equal the full evaluator's — the
-// struct compares with ==, so the check covers the Fitness bits too.
-func driveEquivalence(t *testing.T, in *Instance, opts EvalOptions, seed uint64, steps int) {
+// Walk step kinds of driveEquivalence. Teleports almost always change a
+// moved router's neighbor set; nudges, unmoved indices, empty lists and
+// no-diff rebases mostly do not, so they reach Apply's skip path and a
+// Revert with nothing to relink.
+const (
+	stepTeleport = iota
+	stepNudgeFine
+	stepNudge // σ 2: the perturb movement's default
+	stepUnmoved
+	stepEmpty
+	stepRebaseNoDiff
+	numStepKinds
+)
+
+// driveEquivalence runs a random walk over every step kind, each followed
+// by a Revert half the time, and asserts after every operation that the
+// incremental metrics and neighbor sets equal the full evaluator's — the
+// metrics compare with ==, so the check covers the Fitness bits too. It
+// returns how many Apply calls skipped the connectivity pass.
+func driveEquivalence(t *testing.T, in *Instance, opts EvalOptions, seed uint64, steps int) (skipped int) {
 	t.Helper()
 	eval := mustEval(t, in, opts)
 	r := rng.New(seed)
@@ -28,45 +45,100 @@ func driveEquivalence(t *testing.T, in *Instance, opts EvalOptions, seed uint64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := ie.Metrics(), eval.MustEvaluate(cur); got != want {
-		t.Fatalf("initial metrics %v, want %v", got, want)
+	check := func(step int, op string, got Metrics, sol Solution) {
+		t.Helper()
+		if want := eval.MustEvaluate(sol); got != want {
+			t.Fatalf("step %d: %s -> %v, want %v", step, op, got, want)
+		}
+		assertAdjacency(t, ie, sol)
 	}
-	n := in.NumRouters()
+	check(-1, "new", ie.Metrics(), cur)
+	n, area := in.NumRouters(), in.Area()
 	scratch := cur.Clone()
 	moved := make([]int, 0, 4)
 	for step := 0; step < steps; step++ {
 		copy(scratch.Positions, cur.Positions)
 		moved = moved[:0]
+		kind := r.IntN(numStepKinds)
 		// Move 1–3 routers; duplicates are legal and must be deduped.
-		for j, k := 0, 1+r.IntN(3); j < k; j++ {
+		k := 1 + r.IntN(3)
+		switch kind {
+		case stepEmpty, stepRebaseNoDiff:
+			k = 0
+		}
+		for j := 0; j < k; j++ {
 			i := r.IntN(n)
-			scratch.Positions[i] = geom.Pt(r.Float64()*in.Width, r.Float64()*in.Height)
+			p := scratch.Positions[i]
+			switch kind {
+			case stepTeleport:
+				p = geom.Pt(r.Float64()*in.Width, r.Float64()*in.Height)
+			case stepNudgeFine, stepNudge:
+				sigma := 0.5
+				if kind == stepNudge {
+					sigma = 2
+				}
+				p = area.Clamp(geom.Pt(p.X+r.NormFloat64()*sigma, p.Y+r.NormFloat64()*sigma))
+			}
+			scratch.Positions[i] = p
 			moved = append(moved, i)
 		}
-		got := ie.Apply(moved, scratch)
-		if want := eval.MustEvaluate(scratch); got != want {
-			t.Fatalf("step %d: apply %v -> %v, want %v", step, moved, got, want)
+		// The connectivity pass labels every router, so a label it cannot
+		// write shows that the pass was skipped.
+		ie.labels[0] = -2
+		var got Metrics
+		if kind == stepRebaseNoDiff {
+			got = ie.Rebase(scratch)
+		} else {
+			got = ie.Apply(moved, scratch)
 		}
+		if len(ie.lastMoved) > 0 && ie.labels[0] == -2 {
+			skipped++
+		}
+		check(step, fmt.Sprintf("step kind %d apply %v", kind, moved), got, scratch)
 		if r.Float64() < 0.5 {
 			ie.Revert()
-			if got, want := ie.Metrics(), eval.MustEvaluate(cur); got != want {
-				t.Fatalf("step %d: revert -> %v, want %v", step, got, want)
-			}
+			check(step, "revert", ie.Metrics(), cur)
 		} else {
 			copy(cur.Positions, scratch.Positions)
+		}
+	}
+	return skipped
+}
+
+// assertAdjacency checks that every router's tracked neighbor set is the
+// one the full evaluator's link scan finds on sol.
+func assertAdjacency(t *testing.T, ie *IncrementalEvaluator, sol Solution) {
+	t.Helper()
+	g := ie.eval.buildRouterGraph(sol)
+	for v, nbs := range ie.adj {
+		got := make([]int, len(nbs))
+		for i, w := range nbs {
+			got[i] = int(w)
+		}
+		slices.Sort(got)
+		want := slices.Sorted(slices.Values(g.Neighbors(v)))
+		if !slices.Equal(got, want) {
+			t.Fatalf("router %d neighbors %v, want %v", v, got, want)
 		}
 	}
 }
 
 // TestIncrementalMatchesFullEvaluator fuzzes every model combination across
-// both evaluation regimes: below smallN (brute-force pair scan) and above it
-// (the moving spatial index).
+// both evaluation regimes: at or below smallN (brute-force pair scan; the
+// cold-solve benchmark's 128-router instance sits exactly on the gate) and
+// above it (the moving spatial index). Under CoverAnyRouter the walk must
+// take Apply's skip path at least once, so the fast path cannot quietly
+// degrade into always running the connectivity pass; under CoverGiantOnly,
+// whose coverage needs fresh component labels, it must never take it.
 func TestIncrementalMatchesFullEvaluator(t *testing.T) {
 	small := DefaultGenConfig() // 64 routers: brute-force regime
+	gate := DefaultGenConfig()
+	gate.NumRouters = smallN // still brute force
+	gate.Name = "base-smallN"
 	large := DefaultGenConfig()
 	large.NumRouters = smallN + 22 // index regime
 	large.Name = "base-large"
-	for _, size := range []GenConfig{small, large} {
+	for _, size := range []GenConfig{small, gate, large} {
 		in, err := Generate(size)
 		if err != nil {
 			t.Fatal(err)
@@ -82,10 +154,54 @@ func TestIncrementalMatchesFullEvaluator(t *testing.T) {
 			{"unit-giant", EvalOptions{Link: LinkUnitDisk, Coverage: CoverGiantOnly}},
 		} {
 			t.Run(fmt.Sprintf("%s/%s", size.Name, tc.name), func(t *testing.T) {
-				driveEquivalence(t, in, tc.opts, 7, 120)
+				skipped := driveEquivalence(t, in, tc.opts, 7, 120)
+				switch giantOnly := tc.opts.Coverage == CoverGiantOnly; {
+				case giantOnly && skipped > 0:
+					t.Errorf("%d Apply calls skipped the connectivity pass under CoverGiantOnly", skipped)
+				case !giantOnly && skipped == 0:
+					t.Error("no Apply skipped the connectivity pass")
+				}
 			})
 		}
 	}
+}
+
+// TestIncrementalEmptyApplyResetsRevertLog pins the undo log across an
+// empty move: Revert after an empty Apply must not replay the log of the
+// Apply before it. The tracked state, not just the cached metrics, must
+// equal a fresh evaluator's.
+func TestIncrementalEmptyApplyResetsRevertLog(t *testing.T) {
+	// Radius 2, overlap rule: routers 0–1–2 form a chain, router 3 is
+	// isolated. Moving router 0 next to router 3 trades its link to 1 for
+	// one to 3.
+	in := chainInstance(4, 2)
+	eval := mustEval(t, in, EvalOptions{})
+	base := Solution{Positions: []geom.Point{geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(8, 0), geom.Pt(50, 0)}}
+	ie, err := NewIncrementalEvaluator(eval, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := base.Clone()
+	next.Positions[0] = geom.Pt(50, 1)
+	ie.Apply([]int{0}, next)
+	if ie.sameLinks {
+		t.Fatal("the move kept router 0's neighbor set")
+	}
+	ie.Revert()
+	ie.Apply(nil, base)
+	ie.Revert()
+	fresh, err := NewIncrementalEvaluator(eval, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Metrics()
+	if got := ie.Metrics(); got != want {
+		t.Fatalf("metrics %v, want %v", got, want)
+	}
+	if got := ie.computeMetrics(); got != want {
+		t.Fatalf("recomputed metrics %v, want %v", got, want)
+	}
+	assertAdjacency(t, ie, base)
 }
 
 // FuzzIncrementalApplyRevert lets the fuzzer pick the walk: every seed
