@@ -59,14 +59,16 @@ race:
 # BenchmarkServeBatched in internal/server, the batched-vs-unbatched burst
 # comparison of the serving layer, and BenchmarkPortfolio there too, the
 # portfolio race against each member standalone at one shared evaluation
-# budget). Two high-iteration passes follow, so the ratio gates read
-# steady-state numbers: BenchmarkIncrementalVsFull and BenchmarkSwapPropose,
-# the chained swap proposal; each takes 5 samples, of which benchdiff keeps
-# the fastest. The test2json event stream is written
-# to $(BENCH_OUT) so the perf trajectory is recorded per PR and can be
-# diffed across commits with `make benchdiff`.
+# budget). Three more passes follow, so the ratio gates read more than one
+# sample: BenchmarkServeBatched, and at high iteration counts
+# BenchmarkIncrementalVsFull and BenchmarkSwapPropose, the chained swap
+# proposal; each takes 5 samples, of which benchdiff keeps the fastest.
+# The test2json event stream is written to $(BENCH_OUT) so the perf
+# trajectory is recorded per PR and can be diffed across commits with
+# `make benchdiff`.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 3x -json ./... > $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench '^BenchmarkServeBatched$$' -benchtime 3x -count 5 -benchmem -json ./internal/server >> $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench BenchmarkIncrementalVsFull -benchtime 1000x -count 5 -benchmem -json ./internal/wmn >> $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench '^BenchmarkSwapPropose$$' -benchtime 1000x -count 5 -benchmem -json . >> $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT) ($$(wc -l < $(BENCH_OUT)) events)"

@@ -36,7 +36,6 @@ func runLoadgen(args []string) error {
 	jsonOut := fs.Bool("json", false, "print the report as JSON instead of text")
 	workers := fs.Int("workers", 0, "in-process server: solve workers (0 = one per CPU)")
 	batch := fs.Int("batch", 0, "in-process server: batch size (0 = server default)")
-	batchWait := fs.Duration("batchwait", 0, "in-process server: batch max wait (0 = server default)")
 	noCache := fs.Bool("nocache", false, "in-process server: disable the result cache")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -61,7 +60,6 @@ func runLoadgen(args []string) error {
 		cfg := server.DefaultConfig()
 		cfg.Workers = *workers
 		cfg.BatchSize = *batch
-		cfg.BatchMaxWait = *batchWait
 		if *noCache {
 			cfg.CacheSize = 0
 		}

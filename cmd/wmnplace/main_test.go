@@ -180,7 +180,7 @@ func TestLoadgenCommand(t *testing.T) {
 	args := []string{
 		"loadgen", "-requests", "24", "-concurrency", "4", "-seeds", "2",
 		"-spec", "adhoc:method=Near", "-scenario", "v1-half-uniform",
-		"-batchwait", "1ms", "-csv", csvOut, "-json",
+		"-csv", csvOut, "-json",
 	}
 	if err := run(args); err != nil {
 		t.Fatal(err)

@@ -43,7 +43,6 @@ func runServe(args []string) error {
 	workers := fs.Int("workers", 0, "size of the one worker pool that runs every solve, sync or async (0 = one per CPU)")
 	cache := fs.Int("cache", 256, "result-cache capacity in entries (0 disables)")
 	batch := fs.Int("batch", 0, "max computations coalesced per batch (0 = default)")
-	batchWait := fs.Duration("batchwait", 0, "max wait before a partial batch flushes (0 = default)")
 	noBatch := fs.Bool("nobatch", false, "disable request batching (solve each request directly)")
 	peers := fs.String("peers", "", "comma-separated base URLs of the full replica set, including this one (enables cluster mode)")
 	self := fs.String("self", "", "this replica's base URL as it appears in -peers (default http://<addr>)")
@@ -57,7 +56,6 @@ func runServe(args []string) error {
 	cfg.Workers = *workers
 	cfg.CacheSize = *cache
 	cfg.BatchSize = *batch
-	cfg.BatchMaxWait = *batchWait
 	cfg.DisableBatching = *noBatch
 
 	ln, err := net.Listen("tcp", *addr)

@@ -5,10 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -290,13 +290,110 @@ func FuzzJournalReplay(f *testing.F) {
 				t.Fatalf("key-%d after replay: %q (ok=%v)", i, b, ok)
 			}
 		}
+		replayed := map[string][]byte{}
+		for key := range first.index {
+			b, ok := first.Get(key)
+			if !ok {
+				t.Fatalf("replayed key %q misses", key)
+			}
+			replayed[key] = b
+		}
 		first.Close()
 		re := openTestJournal(t, path)
 		if got := re.Stats(); got.Replayed != st.Replayed || got.Entries != st.Entries || got.DiscardedBytes != 0 {
 			t.Fatalf("reopen stats %+v after first open %+v", got, st)
 		}
-		if !maps.EqualFunc(first.m, re.m, bytes.Equal) {
-			t.Fatal("reopen replayed a different record set")
+		for key, want := range replayed {
+			if b, ok := re.Get(key); !ok || !bytes.Equal(b, want) {
+				t.Fatalf("reopen serves %q as %q (ok=%v), first open served %q", key, b, ok, want)
+			}
 		}
 	})
+}
+
+// TestJournalKeepsPayloadsOnDisk pins the memory contract: the journal
+// holds each record's place in the file, not its payload, so 4 MiB of
+// appended payloads leave the heap about where it was.
+func TestJournalKeepsPayloadsOnDisk(t *testing.T) {
+	j := openTestJournal(t, filepath.Join(t.TempDir(), "heap.journal"))
+	const n, size = 512, 8 << 10
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		j.Put(fmt.Sprintf("key-%04d", i), bytes.Repeat([]byte{byte(i)}, size))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Errorf("heap grew %d bytes holding %d payloads of %d bytes", grew, n, size)
+	}
+	if b, ok := j.Get("key-0007"); !ok || !bytes.Equal(b, bytes.Repeat([]byte{7}, size)) {
+		t.Errorf("key-0007 read back wrong (ok=%v, %d bytes)", ok, len(b))
+	}
+}
+
+// TestJournalGetChecksEveryRead flips one value byte of a record in place
+// after Open: Get reads the record back and checks its CRC, so that record
+// misses while its neighbours are still served.
+func TestJournalGetChecksEveryRead(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rot.journal")
+	j := openTestJournal(t, path)
+	j.Put("first", []byte("payload-first"))
+	firstEnd := fileSize(t, path)
+	j.Put("second", []byte("payload-second"))
+	j.Put("third", []byte("payload-third"))
+
+	fh, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b [1]byte
+	at := firstEnd + journalHeader + int64(len("second")) + 3
+	if _, err := fh.ReadAt(b[:], at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xFF
+	if _, err := fh.WriteAt(b[:], at); err != nil {
+		t.Fatal(err)
+	}
+	if err := fh.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if got, ok := j.Get("second"); ok {
+		t.Errorf("corrupt record served: %q", got)
+	}
+	for _, key := range []string{"first", "third"} {
+		if got, ok := j.Get(key); !ok || string(got) != "payload-"+key {
+			t.Errorf("%s next to a corrupt record: %q (ok=%v)", key, got, ok)
+		}
+	}
+}
+
+// TestJournalConcurrentPutGet reads records back from the file while other
+// goroutines append: every Get of a key whose Put returned serves its
+// exact bytes (run under -race).
+func TestJournalConcurrentPutGet(t *testing.T) {
+	j := openTestJournal(t, filepath.Join(t.TempDir(), "concurrent.journal"))
+	const writers, each = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				key := fmt.Sprintf("w%d-%d", w, i)
+				j.Put(key, []byte("payload-"+key))
+				if b, ok := j.Get(key); !ok || string(b) != "payload-"+key {
+					t.Errorf("%s right after Put: %q (ok=%v)", key, b, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := j.Stats(); st.Entries != writers*each || st.Appended != writers*each {
+		t.Errorf("stats = %+v, want %d entries appended", st, writers*each)
+	}
 }

@@ -10,20 +10,6 @@ import (
 	"meshplace/internal/wmn"
 )
 
-// flushCause records why a pending batch was handed to the worker pool,
-// for the flush counters of MetricsSnapshot.
-type flushCause int
-
-const (
-	// flushSize: the batch coalesced BatchSize requests before the wait
-	// window expired.
-	flushSize flushCause = iota
-	// flushTimeout: BatchMaxWait expired with the batch below BatchSize.
-	flushTimeout
-	// flushClose: server shutdown drained the batch early.
-	flushClose
-)
-
 // computation is one distinct (instance hash, spec, seed) triple being
 // solved once on behalf of every request that deduplicated onto it. done
 // is closed exactly once, after every other field has been written; waiters
@@ -43,8 +29,8 @@ type computation struct {
 	seed     uint64
 	done     chan struct{}
 
-	// pendingIn points at the batch the computation still sits in; nil once
-	// the batch flushed. Guarded by batcher.mu.
+	// pendingIn points at the queued batch the computation sits in; nil
+	// once that batch started on a worker. Guarded by batcher.mu.
 	pendingIn *batch
 
 	// Result and telemetry, written by run before done closes.
@@ -91,34 +77,36 @@ func (c *computation) emit(rec localsearch.PhaseRecord) {
 	}
 }
 
-// batch is the pending coalescing window for one instance hash: every
-// distinct computation on that instance collected since the first request,
-// flushed together so they share one warm evaluator build.
+// batch is one pool task: every distinct computation on one instance hash
+// coalesced while the task waited for a worker, solved together on one
+// evaluator.
 type batch struct {
 	hash string
 	in   *wmn.Instance
-	gen  uint64 // distinguishes reuse of the same hash across windows
 	// comps are the distinct computations; requests counts every request
-	// coalesced into this window, including dedup attaches, and is what
+	// coalesced into the batch, including dedup attaches, and is what
 	// BatchSize bounds.
 	comps    []*computation
 	requests int
-	timer    *time.Timer
 }
 
 // batcher coalesces concurrent solves by instance hash. A request that
 // misses the cache enqueues here: if an identical (instance hash, spec,
-// seed) computation is already pending or running it attaches as a waiter
-// (CacheDedupWait) and the work runs exactly once; otherwise it opens (or
-// joins) the pending batch for its instance hash (CacheMiss). A batch
-// flushes when it has coalesced BatchSize requests, when BatchMaxWait
-// expires, or at shutdown — whichever comes first — and runs as one task on
-// the server's worker pool, building one warm wmn.Evaluator (the spatial
-// client index every solver's IncrementalEvaluator wraps) shared by every
-// computation of the batch.
+// seed) computation is already queued or running it attaches as a waiter
+// (CacheDedupWait) and the work runs exactly once; otherwise it joins the
+// open batch for its instance hash, or opens one and submits it to the
+// server's worker pool at once (CacheMiss). The batcher is work-conserving:
+// a batch starts the moment a worker is free, so requests coalesce only
+// while every worker is busy. A batch closes to joiners when it starts or
+// when it has coalesced BatchSize requests, whichever comes first.
+//
+// Every batch solves on one wmn.Evaluator (the spatial client index every
+// solver's IncrementalEvaluator wraps). An Evaluator is immutable after
+// NewEvaluator, so the batcher remembers the last one it built and hands it
+// to every later batch on the same instance hash, concurrently running ones
+// included.
 type batcher struct {
 	batchSize int
-	maxWait   time.Duration
 	evalOpts  wmn.EvalOptions
 	cache     *Cache
 	store     ResultStore
@@ -127,15 +115,15 @@ type batcher struct {
 
 	mu       sync.Mutex
 	closed   bool
-	gen      uint64
-	inflight map[string]*computation // by dedup key, pending + running
-	pending  map[string]*batch       // by instance hash
+	inflight map[string]*computation // by dedup key, queued + running
+	pending  map[string]*batch       // by instance hash: queued, below BatchSize
+	lastHash string                  // instance hash of lastEval
+	lastEval *wmn.Evaluator
 }
 
 func newBatcher(cfg Config, cache *Cache, agg *metricsAggregator, pool *workerPool) *batcher {
 	return &batcher{
 		batchSize: cfg.BatchSize,
-		maxWait:   cfg.BatchMaxWait,
 		evalOpts:  cfg.Eval,
 		cache:     cache,
 		store:     cfg.Store,
@@ -153,103 +141,103 @@ func newBatcher(cfg Config, cache *Cache, agg *metricsAggregator, pool *workerPo
 // is shared by everyone who deduplicates onto the computation (deadline
 // requests carry the deadline in their dedup key, so sharers agree on it).
 // onPhase, when non-nil, receives the computation's live solver progress
-// (shared with every other request coalesced onto it). After close it
-// returns a nil computation and the caller solves directly.
+// (shared with every other request coalesced onto it). After close, or
+// when the pool no longer accepts tasks, it returns a nil computation and
+// the caller solves directly.
 func (b *batcher) enqueue(ctx context.Context, in *wmn.Instance, hash, key, cacheKey string, spec Spec, seed uint64, onPhase func(localsearch.PhaseRecord)) (*computation, string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if c, ok := b.inflight[key]; ok {
 		c.addHook(onPhase)
-		// Identical request already pending or running: attach. A dedup
-		// attach counts toward the batch's size trigger so a burst of
-		// identical requests flushes as soon as BatchSize of them arrived
-		// instead of stalling out the full wait window.
+		// A dedup attach counts toward its queued batch's BatchSize.
 		if bt := c.pendingIn; bt != nil {
-			bt.requests++
-			if bt.requests >= b.batchSize {
-				b.flushLocked(bt, flushSize)
-			}
+			b.countLocked(bt)
 		}
 		return c, CacheDedupWait
 	}
 	if b.closed {
 		return nil, ""
 	}
-	c := newComputation(ctx, key, cacheKey, hash, spec, seed, onPhase)
-	b.inflight[key] = c
 	bt := b.pending[hash]
 	if bt == nil {
-		b.gen++
-		bt = &batch{hash: hash, in: in, gen: b.gen}
+		bt = &batch{hash: hash, in: in}
+		// The task waits on b.mu, held here, until bt is filled in.
+		if !b.pool.submit(func() { b.run(bt) }) {
+			return nil, ""
+		}
 		b.pending[hash] = bt
-		gen := bt.gen
-		bt.timer = time.AfterFunc(b.maxWait, func() { b.flushExpired(hash, gen) })
 	}
+	c := newComputation(ctx, key, cacheKey, hash, spec, seed, onPhase)
+	b.inflight[key] = c
 	bt.comps = append(bt.comps, c)
 	c.pendingIn = bt
-	bt.requests++
-	if bt.requests >= b.batchSize {
-		b.flushLocked(bt, flushSize)
-	}
+	b.countLocked(bt)
 	return c, CacheMiss
 }
 
-// flushExpired is the BatchMaxWait timer callback. The generation check
-// makes a late-firing timer a no-op when its batch already flushed (and a
-// new window opened under the same hash).
-func (b *batcher) flushExpired(hash string, gen uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	bt := b.pending[hash]
-	if bt == nil || bt.gen != gen {
-		return
-	}
-	b.flushLocked(bt, flushTimeout)
-}
-
-// flushLocked detaches the batch from the pending window and hands it to
-// the pool. Requires b.mu held.
-func (b *batcher) flushLocked(bt *batch, cause flushCause) {
-	delete(b.pending, bt.hash)
-	bt.timer.Stop()
-	for _, c := range bt.comps {
-		c.pendingIn = nil
-	}
-	b.agg.recordBatch(cause, len(bt.comps))
-	in, comps := bt.in, bt.comps
-	if !b.pool.submit(func() { b.run(in, comps) }) {
-		// Pool already closed: fail the waiters rather than strand them on
-		// a done channel nobody will close.
-		for _, c := range comps {
-			c.err = errServerClosed
-			close(c.done)
-			delete(b.inflight, c.key)
-		}
+// countLocked counts one more request into a queued batch and closes it to
+// joiners once it holds BatchSize of them; it stays queued. Requires b.mu.
+func (b *batcher) countLocked(bt *batch) {
+	bt.requests++
+	if bt.requests >= b.batchSize && b.pending[bt.hash] == bt {
+		delete(b.pending, bt.hash)
 	}
 }
 
-// run executes one flushed batch on a pool worker (see solveBatch). Each
+// run is a batch's pool task. Its first act closes the batch to joiners
+// and records it; then every computation is solved (see solveBatch). Each
 // computation leaves inflight after the cache holds its payload and before
 // its waiters wake, so a request always finds either the inflight
 // computation or the cached bytes — never a gap — and a request admitted
 // after an answer went out never attaches to the finished computation.
-func (b *batcher) run(in *wmn.Instance, comps []*computation) {
-	solveBatch(in, comps, b.evalOpts, b.cache, b.store, func(c *computation) {
+func (b *batcher) run(bt *batch) {
+	b.mu.Lock()
+	if b.pending[bt.hash] == bt {
+		delete(b.pending, bt.hash)
+	}
+	for _, c := range bt.comps {
+		c.pendingIn = nil
+	}
+	b.agg.recordBatch(len(bt.comps), bt.requests >= b.batchSize)
+	b.mu.Unlock()
+	build := func() (*wmn.Evaluator, error) { return b.evaluator(bt.hash, bt.in) }
+	solveBatch(build, bt.comps, b.cache, b.store, func(c *computation) {
 		b.mu.Lock()
 		delete(b.inflight, c.key)
 		b.mu.Unlock()
 	})
 }
 
-// solveBatch is one pool task: one warm evaluator build shared by every
+// evaluator returns the remembered evaluator when hash matches the last
+// batch's instance, or builds one and remembers it in place of the last.
+// The build runs outside b.mu; a failed build is never remembered.
+func (b *batcher) evaluator(hash string, in *wmn.Instance) (*wmn.Evaluator, error) {
+	b.mu.Lock()
+	if b.lastHash == hash {
+		eval := b.lastEval
+		b.mu.Unlock()
+		return eval, nil
+	}
+	b.mu.Unlock()
+	eval, err := wmn.NewEvaluator(in, b.evalOpts)
+	if err != nil {
+		return nil, err
+	}
+	b.mu.Lock()
+	b.lastHash, b.lastEval = hash, eval
+	b.mu.Unlock()
+	return eval, nil
+}
+
+// solveBatch is one pool task: one evaluator, from build, shared by every
 // computation, then each computation solved and published in order
 // (deterministic, and the fan-out is across batches on the pool, not
 // within one). Results reach waiters by closing each computation's done
 // channel, right after release (when non-nil) sees it. A direct solve is a
 // batch of one.
-func solveBatch(in *wmn.Instance, comps []*computation, opts wmn.EvalOptions, cache *Cache, store ResultStore, release func(*computation)) {
+func solveBatch(build func() (*wmn.Evaluator, error), comps []*computation, cache *Cache, store ResultStore, release func(*computation)) {
 	start := time.Now()
-	eval, evalErr := wmn.NewEvaluator(in, opts)
+	eval, evalErr := build()
 	buildNs := time.Since(start).Nanoseconds()
 	for _, c := range comps {
 		c.runStart = start
@@ -275,20 +263,13 @@ func solveBatch(in *wmn.Instance, comps []*computation, opts wmn.EvalOptions, ca
 	}
 }
 
-// close flushes every pending batch (flushClose) onto the server's pool
-// and rejects further enqueues. Every waiter attached before close
-// receives its result: Server.Close closes the pool next, which runs every
-// flushed batch, so shutdown leaks neither goroutines nor waiters.
+// close rejects further enqueues. Every batch already opened is a queued
+// pool task: Server.Close closes the pool next, which runs every queued
+// task, so every waiter attached before close receives its result and
+// shutdown leaks neither goroutines nor waiters.
 func (b *batcher) close() {
 	b.mu.Lock()
 	b.closed = true
-	pending := make([]*batch, 0, len(b.pending))
-	for _, bt := range b.pending {
-		pending = append(pending, bt)
-	}
-	for _, bt := range pending {
-		b.flushLocked(bt, flushClose)
-	}
 	b.mu.Unlock()
 }
 

@@ -50,16 +50,89 @@ func fireConcurrent(t *testing.T, srv *Server, bodies []string) []*httptest.Resp
 	return out
 }
 
+// workerHold occupies every worker of a server's pool with a task blocked
+// on gate, so batches queue (and coalesce) until the test frees a worker.
+type workerHold struct {
+	gate chan struct{}
+	once sync.Once
+}
+
+// holdWorkers submits one gate task per pool worker and returns once every
+// worker is running one. The hold is released at cleanup at the latest,
+// before the server closes.
+func holdWorkers(t *testing.T, srv *Server) *workerHold {
+	t.Helper()
+	h := &workerHold{gate: make(chan struct{})}
+	var running sync.WaitGroup
+	running.Add(srv.pool.workers)
+	for range srv.pool.workers {
+		if !srv.pool.submit(func() { running.Done(); <-h.gate }) {
+			t.Fatal("pool closed")
+		}
+	}
+	running.Wait()
+	t.Cleanup(h.releaseAll)
+	return h
+}
+
+// releaseOne frees exactly one held worker.
+func (h *workerHold) releaseOne() { h.gate <- struct{}{} }
+
+// releaseAll frees every held worker.
+func (h *workerHold) releaseAll() { h.once.Do(func() { close(h.gate) }) }
+
+// queuedRequests counts the requests coalesced into batches that have not
+// started yet, open or full.
+func queuedRequests(srv *Server) int {
+	b := srv.batch
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	seen := map[*batch]bool{}
+	n := 0
+	for _, c := range b.inflight {
+		if bt := c.pendingIn; bt != nil && !seen[bt] {
+			seen[bt] = true
+			n += bt.requests
+		}
+	}
+	return n
+}
+
+// waitQueuedRequests polls the batcher until its queued batches have
+// coalesced want requests (the deterministic "everyone has attached" gate
+// the coalescing tests synchronize on while every worker is held).
+func waitQueuedRequests(t *testing.T, srv *Server, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for queuedRequests(srv) < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("queued batches never coalesced %d requests (have %d)", want, queuedRequests(srv))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// fireCoalesced is fireConcurrent with every pool worker held until the
+// batcher has queued want requests, so the burst coalesces deterministically
+// however fast a solve is.
+func fireCoalesced(t *testing.T, srv *Server, bodies []string, want int) []*httptest.ResponseRecorder {
+	t.Helper()
+	hold := holdWorkers(t, srv)
+	done := make(chan []*httptest.ResponseRecorder)
+	go func() { done <- fireConcurrent(t, srv, bodies) }()
+	waitQueuedRequests(t, srv, want)
+	hold.releaseAll()
+	return <-done
+}
+
 // TestBatcherDedupExactlyOneComputation is the acceptance stress test: 64
 // concurrent identical (instance, spec, seed) requests with the cache
 // disabled must run exactly one solver computation, fanned byte-identically
-// to every waiter. BatchSize 64 makes the flush deterministic — the batch
-// flushes exactly when all 64 requests have attached — and the disabled
-// cache proves delivery flows through the computation fan-out, not the LRU.
+// to every waiter. Every worker is held until all 64 requests have
+// attached, and the disabled cache proves delivery flows through the
+// computation fan-out, not the LRU.
 func TestBatcherDedupExactlyOneComputation(t *testing.T) {
-	srv := newTestServer(t, Config{
-		CacheSize: 0, BatchSize: 64, BatchMaxWait: 10 * time.Second, Workers: 4,
-	})
+	srv := newTestServer(t, Config{CacheSize: 0, BatchSize: 64, Workers: 4})
 	in := testInstance(t)
 	body := solveBody(t, in, "search:phases=4,neighbors=4", 7)
 
@@ -68,7 +141,7 @@ func TestBatcherDedupExactlyOneComputation(t *testing.T) {
 	for i := range bodies {
 		bodies[i] = body
 	}
-	recs := fireConcurrent(t, srv, bodies)
+	recs := fireCoalesced(t, srv, bodies, n)
 
 	var miss, dedup int
 	first := resultBytes(t, recs[0].Body.Bytes())
@@ -107,7 +180,7 @@ func TestBatcherDedupExactlyOneComputation(t *testing.T) {
 		t.Errorf("snapshot = %+v", snap)
 	}
 	if snap.Batches != 1 || snap.BatchFlushSize != 1 {
-		t.Errorf("batches = %d (size flushes %d), want 1 size-flushed batch", snap.Batches, snap.BatchFlushSize)
+		t.Errorf("batches = %d (full %d), want 1 full batch", snap.Batches, snap.BatchFlushSize)
 	}
 }
 
@@ -116,9 +189,7 @@ func TestBatcherDedupExactlyOneComputation(t *testing.T) {
 // observes that seed's bytes, and all 8 computations share one batch (one
 // warm evaluator build).
 func TestBatcherNearIdenticalRequests(t *testing.T) {
-	srv := newTestServer(t, Config{
-		CacheSize: 0, BatchSize: 64, BatchMaxWait: 10 * time.Second, Workers: 4,
-	})
+	srv := newTestServer(t, Config{CacheSize: 0, BatchSize: 64, Workers: 4})
 	in := testInstance(t)
 
 	const n, seeds = 64, 8
@@ -126,7 +197,7 @@ func TestBatcherNearIdenticalRequests(t *testing.T) {
 	for i := range bodies {
 		bodies[i] = solveBody(t, in, "search:phases=4,neighbors=4", uint64(i%seeds))
 	}
-	recs := fireConcurrent(t, srv, bodies)
+	recs := fireCoalesced(t, srv, bodies, n)
 
 	bySeed := map[int][]byte{}
 	for i, w := range recs {
@@ -158,7 +229,7 @@ func TestBatcherNearIdenticalRequests(t *testing.T) {
 		t.Errorf("computations = %d, want %d (one per distinct seed)", snap.Computations, seeds)
 	}
 	if snap.Batches != 1 || snap.BatchFlushSize != 1 {
-		t.Errorf("batches = %d (size flushes %d), want one shared batch", snap.Batches, snap.BatchFlushSize)
+		t.Errorf("batches = %d (full %d), want one shared batch", snap.Batches, snap.BatchFlushSize)
 	}
 }
 
@@ -183,7 +254,7 @@ func TestBatcherWorkerInvariance(t *testing.T) {
 
 	results := make([]map[string][]byte, 2)
 	for w, workers := range []int{1, 8} {
-		srv := newTestServer(t, Config{CacheSize: 0, BatchSize: 8, BatchMaxWait: time.Millisecond, Workers: workers})
+		srv := newTestServer(t, Config{CacheSize: 0, BatchSize: 8, Workers: workers})
 		recs := fireConcurrent(t, srv, bodies)
 		got := map[string][]byte{}
 		for i, rec := range recs {
@@ -205,15 +276,28 @@ func TestBatcherWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestBatchFlushTimeoutSingleRequest: a lone request below BatchSize is
-// answered once maxWait expires — the batch flushes on the timer, not on
-// size, and still reports full telemetry.
-func TestBatchFlushTimeoutSingleRequest(t *testing.T) {
-	srv := newTestServer(t, Config{
-		CacheSize: 4, BatchSize: 100, BatchMaxWait: 5 * time.Millisecond,
-	})
+// queuedTasks is the number of tasks waiting in the server's pool.
+func queuedTasks(srv *Server) int {
+	srv.pool.mu.Lock()
+	defer srv.pool.mu.Unlock()
+	return len(srv.pool.queue)
+}
+
+// TestBatchStartsWhenAWorkerFrees is the work-conserving rule: while every
+// worker is held, one request leaves exactly one queued task (its batch),
+// and freeing one worker runs it — no timer, no BatchSize wait.
+func TestBatchStartsWhenAWorkerFrees(t *testing.T) {
+	srv := newTestServer(t, Config{CacheSize: 4, BatchSize: 100, Workers: 2})
 	in := testInstance(t)
-	w := do(t, srv, "POST", "/v1/solve", solveBody(t, in, "adhoc", 1))
+	hold := holdWorkers(t, srv)
+	done := make(chan *httptest.ResponseRecorder)
+	go func() { done <- do(t, srv, "POST", "/v1/solve", solveBody(t, in, "adhoc", 1)) }()
+	waitQueuedRequests(t, srv, 1)
+	if n := queuedTasks(srv); n != 1 {
+		t.Fatalf("%d queued pool tasks after one request, want 1", n)
+	}
+	hold.releaseOne()
+	w := <-done
 	if w.Code != http.StatusOK {
 		t.Fatalf("solve = %d (body %s)", w.Code, w.Body.String())
 	}
@@ -222,69 +306,63 @@ func TestBatchFlushTimeoutSingleRequest(t *testing.T) {
 		t.Errorf("metrics = %+v, want a 1-computation miss", m)
 	}
 	snap := srv.Metrics()
-	if snap.Batches != 1 || snap.BatchFlushTimeout != 1 || snap.BatchFlushSize != 0 {
-		t.Errorf("flush counters = %+v, want one timeout flush", snap)
+	if snap.Batches != 1 || snap.BatchFlushSize != 0 || snap.BatchFlushTimeout != 0 {
+		t.Errorf("batch counters = %+v, want one batch below BatchSize", snap)
 	}
 }
 
-// TestBatchFlushOnSizeBeforeTimeout: with BatchSize 2 and a prohibitive
-// maxWait, the second request triggers the flush — the test completing at
-// all (well before the 10s window) proves the size path preempts the timer.
-func TestBatchFlushOnSizeBeforeTimeout(t *testing.T) {
-	srv := newTestServer(t, Config{
-		CacheSize: 0, BatchSize: 2, BatchMaxWait: 10 * time.Second,
-	})
+// TestFullBatchStaysQueued: a batch that reaches BatchSize closes to
+// joiners but stays queued until a worker frees, and the next request on
+// the same instance opens a second batch.
+func TestFullBatchStaysQueued(t *testing.T) {
+	srv := newTestServer(t, Config{CacheSize: 0, BatchSize: 2, Workers: 1})
 	in := testInstance(t)
-	start := time.Now()
-	recs := fireConcurrent(t, srv, []string{
-		solveBody(t, in, "adhoc", 1),
-		solveBody(t, in, "adhoc", 2),
-	})
+	hold := holdWorkers(t, srv)
+	recs := make([]*httptest.ResponseRecorder, 3)
+	var wg sync.WaitGroup
+	for i := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			recs[i] = do(t, srv, "POST", "/v1/solve", solveBody(t, in, "adhoc", uint64(i)))
+		}()
+		waitQueuedRequests(t, srv, i+1)
+	}
+	if n := queuedTasks(srv); n != 2 {
+		t.Errorf("%d queued pool tasks, want 2 (a full batch and a new one)", n)
+	}
+	srv.batch.mu.Lock()
+	if open := len(srv.batch.pending); open != 1 {
+		t.Errorf("%d batches open to joiners, want 1", open)
+	}
+	srv.batch.mu.Unlock()
+	hold.releaseAll()
+	wg.Wait()
+
+	sizes := map[int]int{}
 	for i, w := range recs {
 		if w.Code != http.StatusOK {
 			t.Fatalf("request %d = %d", i, w.Code)
 		}
-		if _, m := decodeEnvelope(t, w.Body.Bytes()); m.BatchSize != 2 {
-			t.Errorf("request %d batch size %d, want 2", i, m.BatchSize)
-		}
+		_, m := decodeEnvelope(t, w.Body.Bytes())
+		sizes[m.BatchSize]++
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("size flush took %v; batch waited for the timer", elapsed)
+	if sizes[2] != 2 || sizes[1] != 1 {
+		t.Errorf("batch sizes seen %v, want two requests in a batch of 2 and one alone", sizes)
 	}
-	snap := srv.Metrics()
-	if snap.Batches != 1 || snap.BatchFlushSize != 1 || snap.BatchFlushTimeout != 0 {
-		t.Errorf("flush counters = %+v, want one size flush", snap)
+	if snap := srv.Metrics(); snap.Batches != 2 || snap.BatchFlushSize != 1 || snap.Computations != 3 {
+		t.Errorf("snapshot = %+v, want 2 batches (1 full) and 3 computations", snap)
 	}
 }
 
-// waitPendingRequests polls the batcher until one pending batch has
-// coalesced want requests (the deterministic "everyone has attached" gate
-// the shutdown and eviction tests synchronize on).
-func waitPendingRequests(t *testing.T, srv *Server, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		srv.batch.mu.Lock()
-		got := 0
-		for _, bt := range srv.batch.pending {
-			got += bt.requests
-		}
-		srv.batch.mu.Unlock()
-		if got >= want {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("pending batch never coalesced %d requests", want)
-}
-
-// TestBatcherDrainsOnClose: requests parked in a pending batch (BatchSize
-// and maxWait both unreachable) are flushed and answered by Close, and the
-// server's goroutines exit — no waiter is stranded and nothing leaks.
+// TestBatcherDrainsOnClose: requests coalesced into an open, queued batch
+// are answered by Close, and the server's goroutines exit — no waiter is
+// stranded and nothing leaks.
 func TestBatcherDrainsOnClose(t *testing.T) {
 	before := runtime.NumGoroutine()
-	srv := New(Config{CacheSize: 4, BatchSize: 100, BatchMaxWait: time.Hour, Workers: 2})
+	srv := New(Config{CacheSize: 4, BatchSize: 100, Workers: 2})
 	in := testInstance(t)
+	hold := holdWorkers(t, srv)
 
 	const n = 5
 	recs := make([]*httptest.ResponseRecorder, n)
@@ -300,26 +378,45 @@ func TestBatcherDrainsOnClose(t *testing.T) {
 			recs[i] = w
 		}(i)
 	}
-	waitPendingRequests(t, srv, n)
+	waitQueuedRequests(t, srv, n)
 
-	snapBefore := srv.Metrics()
-	if snapBefore.Batches != 0 {
-		t.Fatalf("batch flushed before close: %+v", snapBefore)
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	// Free the workers only once Close is draining the pool, so the batch
+	// is still queued and open when Close begins.
+	for {
+		srv.pool.mu.Lock()
+		draining := srv.pool.closed
+		srv.pool.mu.Unlock()
+		if draining {
+			break
+		}
+		time.Sleep(time.Millisecond)
 	}
-	srv.Close()
+	if snap := srv.Metrics(); snap.Batches != 0 {
+		t.Fatalf("batch started before the workers were freed: %+v", snap)
+	}
+	hold.releaseAll()
+	<-closed
 	wg.Wait()
 
 	for i, w := range recs {
 		if w.Code != http.StatusOK {
-			t.Errorf("request %d = %d after close-flush (body %s)", i, w.Code, w.Body.String())
+			t.Errorf("request %d = %d after close (body %s)", i, w.Code, w.Body.String())
 		}
 	}
 	snap := srv.Metrics()
-	if snap.BatchFlushClose != 1 || snap.Computations != n {
-		t.Errorf("snapshot after close = %+v, want one close flush of %d computations", snap, n)
+	if snap.Batches != 1 || snap.Computations != n {
+		t.Errorf("snapshot after close = %+v, want one batch of %d computations", snap, n)
+	}
+	if w := do(t, srv, "POST", "/v1/solve", solveBody(t, in, "adhoc", 99)); w.Code != http.StatusServiceUnavailable {
+		t.Errorf("solve after close = %d, want 503", w.Code)
 	}
 
-	// Goroutine guard: both pools and all waiters must be gone. Allow the
+	// Goroutine guard: the pool and all waiters must be gone. Allow the
 	// runtime a moment to unwind.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -339,13 +436,11 @@ func TestBatcherDrainsOnClose(t *testing.T) {
 // the job itself is forcibly dropped from the table — results fan out over
 // the computation's done channel, never through the job table or the LRU.
 func TestJobEvictionWithDedupWaitersStillDelivers(t *testing.T) {
-	// BatchSize 6 with 5 attached requests parks the batch deterministically;
-	// the 6th request (sent after the eviction storm) releases it.
-	srv := newTestServer(t, Config{
-		CacheSize: 1, Workers: 2,
-		BatchSize: 6, BatchMaxWait: 10 * time.Second,
-	})
+	// Held workers park the batch deterministically until after the
+	// eviction storm.
+	srv := newTestServer(t, Config{CacheSize: 1, Workers: 2, BatchSize: 6})
 	in := testInstance(t)
+	hold := holdWorkers(t, srv)
 
 	// One async job opens (or joins) the computation...
 	w := do(t, srv, "POST", "/v1/solve", solveBodyMode(t, in, "adhoc:method=Near", 3, "async"))
@@ -375,7 +470,7 @@ func TestJobEvictionWithDedupWaitersStillDelivers(t *testing.T) {
 			recs[i] = rec
 		}(i)
 	}
-	waitPendingRequests(t, srv, waiters+1)
+	waitQueuedRequests(t, srv, waiters+1)
 
 	// Eviction storm while the computation is parked: flood the table past
 	// capacity (the unfinished job must be spared), then forcibly drop the
@@ -396,9 +491,11 @@ func TestJobEvictionWithDedupWaitersStillDelivers(t *testing.T) {
 		t.Error("unfinished async job was evicted by the storm")
 	}
 
-	// The 6th identical request completes the batch and releases everyone.
-	final := do(t, srv, "POST", "/v1/solve", syncBody)
+	// Freeing the workers releases everyone; a 6th identical request
+	// afterwards reads the same bytes from the cache.
+	hold.releaseAll()
 	wg.Wait()
+	final := do(t, srv, "POST", "/v1/solve", syncBody)
 
 	if final.Code != http.StatusOK {
 		t.Fatalf("releasing request = %d", final.Code)
@@ -418,5 +515,92 @@ func TestJobEvictionWithDedupWaitersStillDelivers(t *testing.T) {
 	// The job vanished from the table (404), yet every waiter was served.
 	if got := do(t, srv, "GET", "/v1/jobs/"+jobID, ""); got.Code != http.StatusNotFound {
 		t.Errorf("forcibly evicted job still answers %d", got.Code)
+	}
+}
+
+// rememberedEvaluator reads the batcher's remembered instance hash and
+// evaluator.
+func rememberedEvaluator(srv *Server) (string, *wmn.Evaluator) {
+	srv.batch.mu.Lock()
+	defer srv.batch.mu.Unlock()
+	return srv.batch.lastHash, srv.batch.lastEval
+}
+
+// TestRememberedEvaluatorSharedAcrossWorkers runs two batches of one
+// instance on two workers at once, both on the evaluator an earlier batch
+// built (run it under -race: the solves share it without locks), and
+// checks each result against a solve on a freshly built evaluator.
+func TestRememberedEvaluatorSharedAcrossWorkers(t *testing.T) {
+	srv := newTestServer(t, Config{CacheSize: 0, BatchSize: 1, Workers: 2})
+	in := testInstance(t)
+	const portfolio = "portfolio:members=search:phases=4;neighbors=2|anneal:steps=64,budget=600,slices=3"
+	if w := do(t, srv, "POST", "/v1/solve", solveBody(t, in, "adhoc", 1)); w.Code != http.StatusOK {
+		t.Fatalf("warm-up solve = %d", w.Code)
+	}
+	_, warm := rememberedEvaluator(srv)
+
+	specs := []string{"search:phases=6,neighbors=4", portfolio}
+	bodies := []string{solveBody(t, in, specs[0], 2), solveBody(t, in, specs[1], 3)}
+	recs := fireCoalesced(t, srv, bodies, len(bodies))
+	for i, w := range recs {
+		if w.Code != http.StatusOK {
+			t.Fatalf("request %d = %d", i, w.Code)
+		}
+		if want := directPayload(t, in, specs[i], uint64(i+2)); !bytes.Equal(resultBytes(t, w.Body.Bytes()), want) {
+			t.Errorf("request %d on the remembered evaluator differs from a fresh build", i)
+		}
+	}
+	if snap := srv.Metrics(); snap.Batches != 3 {
+		t.Errorf("batches = %d, want 3 (warm-up plus one per request)", snap.Batches)
+	}
+	if hash, eval := rememberedEvaluator(srv); hash != HashInstance(in) || eval != warm {
+		t.Error("the same instance rebuilt its evaluator")
+	}
+}
+
+// TestRememberedEvaluatorFollowsInstance alternates two instances: each
+// change of instance builds and remembers a new evaluator, a repeat reuses
+// it, and a rebuilt evaluator yields the same bytes as the first.
+func TestRememberedEvaluatorFollowsInstance(t *testing.T) {
+	srv := newTestServer(t, Config{CacheSize: 0, Workers: 1})
+	a := testInstance(t)
+	genB := wmn.DefaultGenConfig()
+	genB.Name, genB.Width, genB.Height, genB.NumRouters, genB.NumClients, genB.Seed = "server-test-b", 32, 32, 10, 20, 11
+	b, err := wmn.Generate(genB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func(in *wmn.Instance, seed uint64) []byte {
+		t.Helper()
+		w := do(t, srv, "POST", "/v1/solve", solveBody(t, in, "search:phases=4,neighbors=4", seed))
+		if w.Code != http.StatusOK {
+			t.Fatalf("solve = %d (body %s)", w.Code, w.Body.String())
+		}
+		return resultBytes(t, w.Body.Bytes())
+	}
+	remembered := func(in *wmn.Instance) *wmn.Evaluator {
+		t.Helper()
+		hash, eval := rememberedEvaluator(srv)
+		if hash != HashInstance(in) || eval == nil || eval.Instance().Name != in.Name {
+			t.Fatalf("remembered evaluator is not %s's", in.Name)
+		}
+		return eval
+	}
+
+	first := solve(a, 1)
+	evalA := remembered(a)
+	solve(a, 2)
+	if remembered(a) != evalA {
+		t.Error("a repeat of instance a rebuilt its evaluator")
+	}
+	solve(b, 1)
+	if remembered(b) == evalA {
+		t.Error("instance b reused a's evaluator")
+	}
+	if again := solve(a, 1); !bytes.Equal(again, first) {
+		t.Error("a rebuilt evaluator changed instance a's result bytes")
+	}
+	if remembered(a) == evalA {
+		t.Error("instance a after b reused a replaced evaluator")
 	}
 }

@@ -87,9 +87,8 @@ func (r *LoadgenReport) Render(w io.Writer) {
 		r.Hits, r.StoreHits, r.DedupWaits, r.Misses)
 	fmt.Fprintf(w, "latency: p50 %.2fms p99 %.2fms max %.2fms\n",
 		ms(r.LatencyP50Ns), ms(r.LatencyP99Ns), ms(r.LatencyMaxNs))
-	fmt.Fprintf(w, "server: %d computations for %d requests (%d batches: %d size / %d timeout / %d close)\n",
-		r.Server.Computations, r.Server.Requests,
-		r.Server.Batches, r.Server.BatchFlushSize, r.Server.BatchFlushTimeout, r.Server.BatchFlushClose)
+	fmt.Fprintf(w, "server: %d computations for %d requests (%d batches, %d full)\n",
+		r.Server.Computations, r.Server.Requests, r.Server.Batches, r.Server.BatchFlushSize)
 	fmt.Fprintf(w, "server solve: p50 %.2fms p99 %.2fms; queue wait p99 %.2fms\n",
 		ms(r.Server.Solve.P50Ns), ms(r.Server.Solve.P99Ns), ms(r.Server.QueueWait.P99Ns))
 }

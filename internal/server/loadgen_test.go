@@ -35,7 +35,7 @@ func mustParseSpec(t *testing.T, s string) Spec {
 // checks the report's internal consistency: request totals, cache-path mix,
 // latency ordering, CSV row count, and agreement with the server snapshot.
 func TestLoadgenReportAccounting(t *testing.T) {
-	srv, ts := startLoadTarget(t, Config{CacheSize: 32, BatchMaxWait: time.Millisecond})
+	srv, ts := startLoadTarget(t, Config{CacheSize: 32})
 	var csvBuf bytes.Buffer
 	report, err := RunLoadgen(LoadgenConfig{
 		BaseURL:     ts.URL,
@@ -103,21 +103,32 @@ func TestLoadgenReportAccounting(t *testing.T) {
 }
 
 // TestLoadgenMaxDedupBurst is the acceptance check driven over real HTTP: 64
-// concurrent identical requests (Seeds 1, cache off, BatchSize 64) cost the
-// server exactly one computation.
+// concurrent identical requests (Seeds 1, cache off, BatchSize 64), sent
+// while every worker is held, cost the server exactly one computation.
 func TestLoadgenMaxDedupBurst(t *testing.T) {
-	_, ts := startLoadTarget(t, Config{
-		CacheSize: 0, BatchSize: 64, BatchMaxWait: 10 * time.Second, Workers: 4,
-	})
-	report, err := RunLoadgen(LoadgenConfig{
-		BaseURL:     ts.URL,
-		Spec:        mustParseSpec(t, "search:phases=4,neighbors=4"),
-		Instance:    testInstance(t),
-		Seeds:       1,
-		Requests:    64,
-		Concurrency: 64,
-		Client:      ts.Client(),
-	})
+	srv, ts := startLoadTarget(t, Config{CacheSize: 0, BatchSize: 64, Workers: 4})
+	hold := holdWorkers(t, srv)
+	type result struct {
+		report *LoadgenReport
+		err    error
+	}
+	done := make(chan result)
+	go func() {
+		report, err := RunLoadgen(LoadgenConfig{
+			BaseURL:     ts.URL,
+			Spec:        mustParseSpec(t, "search:phases=4,neighbors=4"),
+			Instance:    testInstance(t),
+			Seeds:       1,
+			Requests:    64,
+			Concurrency: 64,
+			Client:      ts.Client(),
+		})
+		done <- result{report, err}
+	}()
+	waitQueuedRequests(t, srv, 64)
+	hold.releaseAll()
+	res := <-done
+	report, err := res.report, res.err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +142,14 @@ func TestLoadgenMaxDedupBurst(t *testing.T) {
 		t.Errorf("path mix = %d miss / %d dedup-wait, want 1 / 63", report.Misses, report.DedupWaits)
 	}
 	if report.Server.Batches != 1 || report.Server.BatchFlushSize != 1 {
-		t.Errorf("server flushed %d batches (%d by size), want one size flush",
+		t.Errorf("server ran %d batches (%d full), want one full batch",
 			report.Server.Batches, report.Server.BatchFlushSize)
 	}
 }
 
 // TestLoadgenDurationBound smoke-tests the wall-time-bounded open-loop mode.
 func TestLoadgenDurationBound(t *testing.T) {
-	_, ts := startLoadTarget(t, Config{CacheSize: 8, BatchMaxWait: time.Millisecond})
+	_, ts := startLoadTarget(t, Config{CacheSize: 8})
 	report, err := RunLoadgen(LoadgenConfig{
 		BaseURL:     ts.URL,
 		Spec:        mustParseSpec(t, "adhoc"),
@@ -171,7 +182,7 @@ func TestLoadgenDurationBound(t *testing.T) {
 // server's own request counter.
 func TestLoadgenDurationAccounting(t *testing.T) {
 	const bound = 120 * time.Millisecond
-	_, ts := startLoadTarget(t, Config{CacheSize: 8, BatchMaxWait: time.Millisecond})
+	_, ts := startLoadTarget(t, Config{CacheSize: 8})
 	report, err := RunLoadgen(LoadgenConfig{
 		BaseURL:     ts.URL,
 		Spec:        mustParseSpec(t, "adhoc"),
@@ -204,8 +215,8 @@ func TestLoadgenDurationAccounting(t *testing.T) {
 // servers: the ticket index picks the target, so an even request count
 // splits exactly in half, and the report carries one snapshot per target.
 func TestLoadgenRoundRobinTargets(t *testing.T) {
-	srvA, tsA := startLoadTarget(t, Config{CacheSize: 8, BatchMaxWait: time.Millisecond})
-	srvB, tsB := startLoadTarget(t, Config{CacheSize: 8, BatchMaxWait: time.Millisecond})
+	srvA, tsA := startLoadTarget(t, Config{CacheSize: 8})
+	srvB, tsB := startLoadTarget(t, Config{CacheSize: 8})
 	report, err := RunLoadgen(LoadgenConfig{
 		BaseURLs:    []string{tsA.URL, tsB.URL},
 		Spec:        mustParseSpec(t, "adhoc"),

@@ -37,11 +37,12 @@ type RequestMetrics struct {
 	// answered the request (1 on the unbatched path, 0 on a cache hit).
 	BatchSize int `json:"batchSize"`
 	// QueueWaitNs is the time the request spent waiting before its
-	// computation started: batch build-up (maxWait window) plus time
-	// queued behind other solves on the worker pool.
+	// computation started: queued behind other solves on the worker pool
+	// (its batch coalesces requests only during that wait).
 	QueueWaitNs int64 `json:"queueWaitNs"`
 	// BatchBuildNs is the time spent building the batch's shared warm
-	// evaluator (amortized identically onto every request of the batch).
+	// evaluator (amortized identically onto every request of the batch);
+	// near zero when the batch reused the previous batch's evaluator.
 	BatchBuildNs int64 `json:"batchBuildNs"`
 	// SolveNs is the time of the solver run that produced the result; for
 	// dedup waiters it is the shared computation's solve time, for cache
@@ -101,11 +102,13 @@ type MetricsSnapshot struct {
 	// Computations counts actual solver runs — the work the batcher's
 	// dedup avoids repeating (computations ≤ misses’ share of requests).
 	Computations int64 `json:"computations"`
-	// Batch counters by flush cause.
-	Batches           int64 `json:"batches"`
-	BatchFlushSize    int64 `json:"batchFlushSize"`
+	// Batches counts batches started; BatchFlushSize counts those that
+	// closed to joiners at BatchSize while waiting for a worker.
+	Batches        int64 `json:"batches"`
+	BatchFlushSize int64 `json:"batchFlushSize"`
+	// BatchFlushTimeout is always zero: a batch starts the moment a worker
+	// is free and no timer flushes it. Kept because scrapers read it.
 	BatchFlushTimeout int64 `json:"batchFlushTimeout"`
-	BatchFlushClose   int64 `json:"batchFlushClose"`
 	// Per-phase latency aggregates.
 	QueueWait  PhaseStats `json:"queueWait"`
 	BatchBuild PhaseStats `json:"batchBuild"`
@@ -201,19 +204,15 @@ func (a *metricsAggregator) record(m RequestMetrics) {
 	a.tot.add(m.TotalNs)
 }
 
-// recordBatch folds one flushed batch into the aggregate.
-func (a *metricsAggregator) recordBatch(cause flushCause, computations int) {
+// recordBatch folds one started batch into the aggregate; full reports
+// whether it had reached BatchSize.
+func (a *metricsAggregator) recordBatch(computations int, full bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.snap.Batches++
 	a.snap.Computations += int64(computations)
-	switch cause {
-	case flushSize:
+	if full {
 		a.snap.BatchFlushSize++
-	case flushTimeout:
-		a.snap.BatchFlushTimeout++
-	case flushClose:
-		a.snap.BatchFlushClose++
 	}
 }
 

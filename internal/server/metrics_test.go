@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // getMetrics fetches and decodes GET /v1/metrics.
@@ -32,7 +31,7 @@ func getMetrics(t *testing.T, srv *Server) MetricsSnapshot {
 // dashboards scraping the endpoint break loudly here rather than silently
 // in production.
 func TestMetricsEndpointGoldenShape(t *testing.T) {
-	srv := newTestServer(t, Config{CacheSize: 4, BatchMaxWait: time.Millisecond})
+	srv := newTestServer(t, Config{CacheSize: 4})
 	in := testInstance(t)
 	if w := do(t, srv, "POST", "/v1/solve", solveBody(t, in, "adhoc", 1)); w.Code != http.StatusOK {
 		t.Fatalf("solve = %d", w.Code)
@@ -51,7 +50,7 @@ func TestMetricsEndpointGoldenShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantTop := []string{
-		"async", "batchBuild", "batchFlushClose", "batchFlushSize",
+		"async", "batchBuild", "batchFlushSize",
 		"batchFlushTimeout", "batches", "cacheHits", "cacheMisses",
 		"computations", "dedupWaits", "forwardFails", "forwarded",
 		"queueWait", "requests", "solve", "storeHits", "sync", "total",
@@ -87,7 +86,7 @@ func TestMetricsEndpointGoldenShape(t *testing.T) {
 // checks the endpoint after each step: counters only ever grow, and land on
 // the exactly predictable totals (miss, then hit, then a distinct miss).
 func TestMetricsCountersMonotonicAndExact(t *testing.T) {
-	srv := newTestServer(t, Config{CacheSize: 8, BatchMaxWait: time.Millisecond})
+	srv := newTestServer(t, Config{CacheSize: 8})
 	in := testInstance(t)
 
 	steps := []struct {
@@ -189,22 +188,23 @@ func TestRequestMetricsOnEveryPath(t *testing.T) {
 	}
 
 	t.Run("sync miss then hit", func(t *testing.T) {
-		srv := newTestServer(t, Config{CacheSize: 8, BatchMaxWait: time.Millisecond})
+		srv := newTestServer(t, Config{CacheSize: 8})
 		check(t, syncSolve(t, srv, 1), "sync", CacheMiss)
 		check(t, syncSolve(t, srv, 1), "sync", CacheHit)
 	})
 
 	t.Run("async miss then hit", func(t *testing.T) {
-		srv := newTestServer(t, Config{CacheSize: 8, BatchMaxWait: time.Millisecond})
+		srv := newTestServer(t, Config{CacheSize: 8})
 		check(t, asyncSolve(t, srv, 2), "async", CacheMiss)
 		check(t, asyncSolve(t, srv, 2), "async", CacheHit)
 	})
 
 	t.Run("concurrent miss and dedup-wait", func(t *testing.T) {
-		// BatchSize 2 flushes exactly when the second identical request
-		// attaches, so exactly one of the pair is the miss and the other the
-		// dedup-wait — which is which depends on arrival order.
-		srv := newTestServer(t, Config{CacheSize: 0, BatchSize: 2, BatchMaxWait: 10 * time.Second})
+		// The held workers keep the batch queued until both identical
+		// requests attached, so exactly one of the pair is the miss and the
+		// other the dedup-wait — which is which depends on arrival order.
+		srv := newTestServer(t, Config{CacheSize: 0, BatchSize: 2})
+		hold := holdWorkers(t, srv)
 		var ms [2]RequestMetrics
 		var wg sync.WaitGroup
 		for i := range ms {
@@ -222,6 +222,8 @@ func TestRequestMetricsOnEveryPath(t *testing.T) {
 				_, ms[i] = decodeEnvelope(t, w.Body.Bytes())
 			}(i)
 		}
+		waitQueuedRequests(t, srv, 2)
+		hold.releaseAll()
 		wg.Wait()
 		paths := []string{ms[0].CachePath, ms[1].CachePath}
 		sort.Strings(paths)

@@ -7,7 +7,7 @@ import (
 
 // workerPool is the server's one bounded worker pool: a fixed number of
 // goroutines draining an unbounded FIFO queue. Its only tasks are solves —
-// a flushed batch, or a direct solve when batching is off — and a task
+// a batch, or a direct solve when batching is off — and a task
 // never waits on another task, so any worker count, one included, makes
 // progress. Everything that waits for a solve (an HTTP handler, an async
 // job) waits outside the pool.

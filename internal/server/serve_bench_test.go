@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"meshplace/internal/wmn"
 )
@@ -16,8 +15,11 @@ import (
 // batcher exists for: bursts of identical concurrent requests. One benchmark
 // op is one 64-request burst (so ns/op is ns per burst and the reported
 // ns/request is ns/op ÷ 64), with the result cache disabled so every burst
-// costs real solver work. The batched arm coalesces the burst into one
-// computation; the unbatched arm solves all 64 independently. The two arms
+// costs real solver work. In the batched arm the first request starts
+// computing at once and the rest of the burst dedup-attaches to that running
+// computation; with the cache off, a request that arrives after the run
+// finished computes again. The unbatched arm solves all 64 independently.
+// The two arms
 // share a stream, so cmd/benchdiff gates their ratio (batched must not be
 // slower) independent of the hardware either stream was recorded on.
 func BenchmarkServeBatched(b *testing.B) {
@@ -55,7 +57,6 @@ func BenchmarkServeBatched(b *testing.B) {
 				CacheSize:       0, // every burst pays for its solve
 				DisableBatching: arm.disable,
 				BatchSize:       burst,
-				BatchMaxWait:    50 * time.Millisecond,
 			})
 			defer srv.Close()
 			b.ResetTimer()

@@ -18,7 +18,7 @@ import (
 // disables caching explicitly.
 type Config struct {
 	// Workers sizes the server's one worker pool, which runs every solve:
-	// each flushed batch, or each direct solve under DisableBatching.
+	// each batch, or each direct solve under DisableBatching.
 	// Handlers and async jobs wait for their solve outside the pool, so
 	// no pool task waits on another and any size makes progress. 0
 	// selects one per available CPU.
@@ -39,12 +39,10 @@ type Config struct {
 	// 256.
 	MaxPendingJobs int
 	// BatchSize is the number of requests (distinct computations plus
-	// dedup attaches) a pending batch coalesces before flushing early.
-	// 0 selects 16.
+	// dedup attaches) a batch coalesces while it waits for a worker; a
+	// full batch stays queued and the next request opens another. 0
+	// selects 16.
 	BatchSize int
-	// BatchMaxWait is how long the first request of a batch waits for
-	// company before the batch flushes anyway. 0 selects 2ms.
-	BatchMaxWait time.Duration
 	// DisableBatching bypasses the batcher entirely: every cache miss
 	// builds its own evaluator and solves as its own pool task (the
 	// pre-batching behavior, kept addressable for comparison benchmarks).
@@ -84,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 16
-	}
-	if c.BatchMaxWait == 0 {
-		c.BatchMaxWait = 2 * time.Millisecond
 	}
 	return c
 }
@@ -133,8 +128,8 @@ func New(cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close flushes the batcher's pending batches onto the worker pool,
-// closes the pool (every queued solve runs and delivers to its waiters),
+// Close stops the batcher admitting requests, closes the pool (every
+// queued batch and solve runs and delivers to its waiters),
 // and then waits for every async job to finish. The server must not
 // receive requests afterwards; a cache miss that still arrives fails with
 // errServerClosed (503).
@@ -466,7 +461,8 @@ func (s *Server) solveInstrumented(ctx context.Context, in *wmn.Instance, spec S
 	if comp == nil {
 		// Batching disabled or the batcher closed: a batch of one.
 		comp = newComputation(ctx, dedupKey, key, hash, spec, seed, onPhase)
-		if !s.pool.submit(func() { solveBatch(in, []*computation{comp}, s.cfg.Eval, s.cache, s.cfg.Store, nil) }) {
+		build := func() (*wmn.Evaluator, error) { return wmn.NewEvaluator(in, s.cfg.Eval) }
+		if !s.pool.submit(func() { solveBatch(build, []*computation{comp}, s.cache, s.cfg.Store, nil) }) {
 			return nil, m, errServerClosed
 		}
 		s.metrics.recordComputations(1)
