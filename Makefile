@@ -9,12 +9,18 @@ BENCH_OUT ?= BENCH_PR9.json
 # Committed baseline the regression check diffs against.
 BENCH_BASELINE ?= BENCH_PR8.json
 
-# Checked-in experiment snapshot (README embeds its tables). `make paper`
-# regenerates it in place; `make paper-check` re-runs the snapshot's
-# manifest and fails on any byte of drift.
+# Checked-in experiment snapshots (README embeds their tables): runs/paper
+# sweeps the default solver suite over the whole corpus, runs/xhafa09 is
+# the source paper's Tables 1–3 and Figure 4 grid on its three base-scale
+# distributions. `make paper` regenerates both in place; `make
+# paper-check` re-runs each snapshot's manifest and fails on any byte of
+# drift or any violated paper shape claim.
 PAPER_DIR ?= runs/paper
+XHAFA09_DIR ?= runs/xhafa09
 PAPER_SEED ?= 42
 PAPER_REPS ?= 3
+XHAFA09_ARGS = -specs xhafa09 \
+	-scenarios v1-base-normal,v1-base-exponential,v1-base-weibull
 
 # Smoke grid: 2 scenarios × 2 solvers × 1 rep, small enough for every CI
 # run.
@@ -51,8 +57,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Benchmarks only (includes the worker-pool scaling benchmark in
-# internal/experiments, the corpus/suite benchmarks in internal/scenarios,
+# Benchmarks only (includes the corpus/suite benchmarks in internal/scenarios,
 # BenchmarkIncrementalVsFull in internal/wmn — the per-neighbor
 # incremental-vs-full evaluation comparison at paper and 10× scale —
 # BenchmarkIslandScaling in internal/ga, the islands × workers grid,
@@ -91,16 +96,18 @@ benchdiff:
 		-ratio 'BenchmarkIncrementalVsFull/10x/nudge,BenchmarkIncrementalVsFull/10x/full,0.025' \
 		-ratio 'BenchmarkSwapPropose,BenchmarkIncrementalVsFull/paper/incremental,2'
 
-# Regenerate the documented experiment snapshot. Deterministic: the same
+# Regenerate the documented experiment snapshots. Deterministic: the same
 # seed writes the same bytes at any -workers value on any machine.
 paper:
 	$(GO) run ./cmd/wmnplace paper -out $(PAPER_DIR) -seed $(PAPER_SEED) -reps $(PAPER_REPS)
+	$(GO) run ./cmd/wmnplace paper -out $(XHAFA09_DIR) -seed $(PAPER_SEED) -reps $(PAPER_REPS) $(XHAFA09_ARGS)
 
-# Re-run the snapshot's manifest and fail if any artifact drifts — the
-# gate that keeps README's embedded tables matching what the code
-# actually computes.
+# Re-run each snapshot's manifest and fail if any artifact drifts or a
+# paper shape claim breaks — the gate that keeps README's embedded tables
+# matching what the code actually computes.
 paper-check:
 	$(GO) run ./cmd/wmnplace paper -check $(PAPER_DIR)
+	$(GO) run ./cmd/wmnplace paper -check $(XHAFA09_DIR)
 
 # Reproducibility smoke: the same small grid run twice must emit
 # byte-identical CSV, markdown and manifest (fingerprint included).

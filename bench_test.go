@@ -1,26 +1,20 @@
 package meshplace_test
 
-// The benchmark harness regenerating the paper's evaluation:
+// Ablation and hot-path benchmarks of the library facade:
 //
-//   - BenchmarkTable1/2/3 and BenchmarkFig1/2/3 run the three distribution
-//     studies of §5.2.1 (ad hoc methods stand-alone + as GA initializers);
-//     each reports the HotSpot GA giant — the paper's headline number — as
-//     the "giant" metric.
-//   - BenchmarkFig4 runs the §5.2.2 neighborhood-search comparison and
-//     reports both movements' final giants.
-//   - BenchmarkAblation* quantify the design decisions documented in
-//     DESIGN.md §3 and §5.
+//   - BenchmarkAblation* quantify the modelling and operator choices the
+//     reproduction rests on (link model, pattern noise, fitness weights, GA
+//     operators, the swap movement's virtual slot, the spatial index).
+//   - BenchmarkEvaluate, BenchmarkPlacement and BenchmarkSwapPropose time
+//     the hot paths; BenchmarkSwapPropose feeds a benchdiff ratio gate.
 //
-// The benches default to the Quick configuration so `go test -bench=.`
-// terminates in minutes; set -paperscale to run the full 800-generation
-// configuration used for EXPERIMENTS.md.
+// The paper's Tables 1–3 and Figure 4 are not benchmarks: they are the
+// drift-gated runs/xhafa09 report grid (`make paper-check`).
 
 import (
-	"flag"
 	"testing"
 
 	"meshplace"
-	"meshplace/internal/experiments"
 	"meshplace/internal/ga"
 	"meshplace/internal/localsearch"
 	"meshplace/internal/placement"
@@ -28,101 +22,7 @@ import (
 	"meshplace/internal/wmn"
 )
 
-var paperScale = flag.Bool("paperscale", false, "run table/figure benches at full paper scale (800 GA generations)")
-
-func benchConfig() experiments.Config {
-	if *paperScale {
-		return experiments.Default()
-	}
-	return experiments.Quick()
-}
-
-// benchStudy runs one distribution study per iteration and reports the
-// HotSpot GA giant (paper: 64/64/63) and the spread between the best and
-// worst initializer.
-func benchStudy(b *testing.B, id experiments.StudyID) {
-	b.Helper()
-	cfg := benchConfig()
-	var hotspot, spread int
-	for i := 0; i < b.N; i++ {
-		study, err := experiments.RunStudy(id, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		best, worst := 0, study.Instance.NumRouters()
-		for _, res := range study.Results {
-			if res.Method == placement.HotSpot {
-				hotspot = res.GABest.GiantSize
-			}
-			if res.GABest.GiantSize > best {
-				best = res.GABest.GiantSize
-			}
-			if res.GABest.GiantSize < worst {
-				worst = res.GABest.GiantSize
-			}
-		}
-		spread = best - worst
-	}
-	b.ReportMetric(float64(hotspot), "hotspot-giant")
-	b.ReportMetric(float64(spread), "initializer-spread")
-}
-
-func BenchmarkTable1(b *testing.B) { benchStudy(b, experiments.StudyNormal) }
-func BenchmarkTable2(b *testing.B) { benchStudy(b, experiments.StudyExponential) }
-func BenchmarkTable3(b *testing.B) { benchStudy(b, experiments.StudyWeibull) }
-
-// benchFigure regenerates the GA-evolution series (the figures share their
-// runs with the tables; the metric here is the generation at which the
-// HotSpot curve first reaches 90% of its final value — the "how fast"
-// reading of Figures 1–3).
-func benchFigure(b *testing.B, id experiments.StudyID) {
-	b.Helper()
-	cfg := benchConfig()
-	var riseGen int
-	for i := 0; i < b.N; i++ {
-		study, err := experiments.RunStudy(id, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, res := range study.Results {
-			if res.Method != placement.HotSpot || len(res.GAHistory) == 0 {
-				continue
-			}
-			final := res.GAHistory[len(res.GAHistory)-1].BestGiant
-			for _, rec := range res.GAHistory {
-				if rec.BestGiant*10 >= final*9 {
-					riseGen = rec.Generation
-					break
-				}
-			}
-		}
-	}
-	b.ReportMetric(float64(riseGen), "hotspot-rise-gen")
-}
-
-func BenchmarkFig1(b *testing.B) { benchFigure(b, experiments.StudyNormal) }
-func BenchmarkFig2(b *testing.B) { benchFigure(b, experiments.StudyExponential) }
-func BenchmarkFig3(b *testing.B) { benchFigure(b, experiments.StudyWeibull) }
-
-// BenchmarkFig4 runs the swap-vs-random neighborhood search comparison and
-// reports both final giants (paper: swap ≈ 55+, random far lower).
-func BenchmarkFig4(b *testing.B) {
-	cfg := benchConfig()
-	var swap, random int
-	for i := 0; i < b.N; i++ {
-		cmp, err := experiments.RunSearchComparison(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		swapTrace, randomTrace := cmp.Traces["Swap"], cmp.Traces["Random"]
-		swap = swapTrace[len(swapTrace)-1].Metrics.GiantSize
-		random = randomTrace[len(randomTrace)-1].Metrics.GiantSize
-	}
-	b.ReportMetric(float64(swap), "swap-giant")
-	b.ReportMetric(float64(random), "random-giant")
-}
-
-// --- Ablations (DESIGN.md §5) -----------------------------------------------
+// --- Ablations ---------------------------------------------------------------
 
 func benchInstance(b *testing.B) *wmn.Instance {
 	b.Helper()
@@ -241,8 +141,7 @@ func weightName(w wmn.Weights) string {
 	}
 }
 
-// BenchmarkAblationGAOperators compares the GA operator choices (DESIGN.md
-// §3): the default tournament/uniform/gaussian against roulette selection,
+// BenchmarkAblationGAOperators compares the GA operator choices: the default tournament/uniform/gaussian against roulette selection,
 // one-point and region crossover, and reset mutation. Reset mutation is the
 // configuration that washes out the initializer differences.
 func BenchmarkAblationGAOperators(b *testing.B) {
@@ -289,7 +188,7 @@ func BenchmarkAblationGAOperators(b *testing.B) {
 
 // BenchmarkAblationSwapVirtualSlot compares the faithful Algorithm 3 swap
 // (position exchange only) against the virtual-slot generalization used by
-// the Figure 4 experiment (DESIGN.md §3).
+// the Figure 4 search.
 func BenchmarkAblationSwapVirtualSlot(b *testing.B) {
 	in := benchInstance(b)
 	eval, err := wmn.NewEvaluator(in, wmn.EvalOptions{})
@@ -447,41 +346,4 @@ func BenchmarkSwapPropose(b *testing.B) {
 			copy(sol.Positions, dst.Positions)
 		}
 	}
-}
-
-// BenchmarkFamilySweep runs the HotSpot placement plus a short swap search
-// over every instance of the §5.1 benchmark family (three scales × four
-// distributions), reporting the mean giant fraction achieved — a scaling
-// check that the placement pipeline holds up beyond the paper's single
-// instance size.
-func BenchmarkFamilySweep(b *testing.B) {
-	instances, err := experiments.GenerateFamily(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var meanFraction float64
-	for i := 0; i < b.N; i++ {
-		total := 0.0
-		for _, in := range instances {
-			eval, err := wmn.NewEvaluator(in, wmn.EvalOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sol, err := meshplace.Place(meshplace.HotSpot, in, uint64(i+1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := localsearch.Search(eval, sol, localsearch.Config{
-				Movement:          localsearch.NewSwapMovement(),
-				MaxPhases:         10,
-				NeighborsPerPhase: 8,
-			}, rng.New(uint64(i+2)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += float64(res.BestMetrics.GiantSize) / float64(in.NumRouters())
-		}
-		meanFraction = total / float64(len(instances))
-	}
-	b.ReportMetric(meanFraction, "mean-giant-fraction")
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"meshplace"
+	"meshplace/internal/wmn"
 )
 
 // instanceFlags declares the flags shared by every command that needs an
@@ -43,7 +44,7 @@ func (f *instanceFlags) instance() (*meshplace.Instance, error) {
 			return nil, err
 		}
 		defer file.Close()
-		return readInstance(file)
+		return wmn.ReadInstance(file)
 	}
 	spec, err := meshplace.ParseClients(f.dist)
 	if err != nil {

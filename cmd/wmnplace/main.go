@@ -33,7 +33,6 @@ type command struct {
 // help output and the unknown-command error render, pinned by tests.
 var commands = []command{
 	{"analyze", "map, per-router report and robustness sweep of a placement", runAnalyze},
-	{"experiment", "regenerate the paper's tables and figures (table1..fig4, all)", runExperiment},
 	{"ga", "run the genetic algorithm from an ad hoc initializer (-islands for the island model)", runGA},
 	{"instance", "generate a problem instance and write it as JSON", runInstance},
 	{"loadgen", "drive request load at a server and report throughput/latency", runLoadgen},

@@ -110,19 +110,6 @@ func TestSolveCommand(t *testing.T) {
 	}
 }
 
-func TestExperimentQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a quick study (~2s)")
-	}
-	dir := t.TempDir()
-	if err := run([]string{"experiment", "-quick", "-check=false", "-csv", dir, "table1"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "table1.csv")); err != nil {
-		t.Errorf("CSV not written: %v", err)
-	}
-}
-
 func TestAnalyzeCommand(t *testing.T) {
 	args := append([]string{"analyze", "-search", "2", "-trials", "4", "-mapwidth", "24"}, small()...)
 	if err := run(args); err != nil {
@@ -130,15 +117,6 @@ func TestAnalyzeCommand(t *testing.T) {
 	}
 	if err := run([]string{"analyze", "-method", "Bogus"}); err == nil {
 		t.Error("unknown method accepted")
-	}
-}
-
-func TestExperimentUnknownID(t *testing.T) {
-	if err := run([]string{"experiment", "table9"}); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-	if err := run([]string{"experiment"}); err == nil {
-		t.Error("missing experiment id accepted")
 	}
 }
 

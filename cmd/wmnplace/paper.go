@@ -17,8 +17,8 @@ import (
 // results.csv, results.md and manifest.json. The artifacts are
 // deterministic in the manifest's recipe — same seed, same bytes, at any
 // -workers value — and `wmnplace paper -check <dir>` re-runs a directory's
-// manifest and fails on any drift, which is how CI keeps README's tables
-// honest.
+// manifest and fails on any drift or violated paper shape claim, which is
+// how CI keeps README's tables honest.
 func runPaper(args []string) error {
 	fs := flag.NewFlagSet("paper", flag.ContinueOnError)
 	out := fs.String("out", "", `output directory (default "runs/<UTC timestamp>")`)
@@ -27,7 +27,7 @@ func runPaper(args []string) error {
 	reps := fs.Int("reps", 3, "repetitions per (scenario, solver) cell")
 	scale := fs.String("scale", "all", "restrict to one corpus scale: half, base, double or all")
 	scenarioNames := fs.String("scenarios", "", "comma-separated scenario names to run (empty = all selected by -scale)")
-	specsFlag := fs.String("specs", "all", `solver specs to sweep, ';'-separated, or "all" for every registered kind's default`)
+	specsFlag := fs.String("specs", "all", `solver specs to sweep, ';'-separated, "all" for every registered kind's default, or "xhafa09" for the source paper's Tables 1–3 and Figure 4 grid`)
 	workers := fs.Int("workers", 0, "concurrent solves (0 = one per CPU; never affects output bytes)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -41,7 +41,11 @@ func runPaper(args []string) error {
 	}
 
 	cfg := report.Config{Seed: *seed, Reps: *reps, Workers: *workers}
-	if *specsFlag != "all" {
+	switch *specsFlag {
+	case "all": // empty Specs selects server.DefaultSuiteSpecs
+	case "xhafa09":
+		cfg.Specs = report.Xhafa09Specs()
+	default:
 		for _, text := range strings.Split(*specsFlag, ";") {
 			if strings.TrimSpace(text) == "" {
 				continue
@@ -53,7 +57,7 @@ func runPaper(args []string) error {
 			cfg.Specs = append(cfg.Specs, spec)
 		}
 		if len(cfg.Specs) == 0 {
-			return fmt.Errorf(`-specs %q names no solver specs (want "all" or ';'-separated specs)`, *specsFlag)
+			return fmt.Errorf(`-specs %q names no solver specs (want "all", "xhafa09" or ';'-separated specs)`, *specsFlag)
 		}
 	}
 
@@ -106,5 +110,11 @@ func runPaper(args []string) error {
 		return err
 	}
 	fmt.Printf("fingerprint %s\n", m.Fingerprint)
+	if v := rep.Violations(); len(v) > 0 {
+		for _, msg := range v {
+			fmt.Println("SHAPE VIOLATION:", msg)
+		}
+		fmt.Printf("wmnplace: %d paper shape claim(s) violated; `paper -check %s` fails until they hold\n", len(v), dir)
+	}
 	return nil
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"meshplace/internal/report"
 )
 
 // TestCommandTableSortedAndHelp pins the -h contract: the command table is
@@ -87,6 +89,43 @@ func TestPaperCommand(t *testing.T) {
 	}
 }
 
+// TestPaperXhafa09Specs drives the named paper grid end to end on one
+// paper scenario at one repetition: the manifest records the expanded
+// xhafa09 specs, results.md carries the paper section, and -check passes
+// exactly when that section reports no violated shape claim.
+func TestPaperXhafa09Specs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs seven 800-generation GA solves")
+	}
+	dir := filepath.Join(t.TempDir(), "xhafa09")
+	if err := run([]string{"paper", "-out", dir, "-seed", "1", "-reps", "1",
+		"-scenarios", "v1-base-weibull", "-specs", "xhafa09"}); err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range report.Xhafa09Specs() {
+		if !strings.Contains(string(manifest), `"`+spec.String()+`"`) {
+			t.Errorf("manifest lacks xhafa09 spec %s", spec)
+		}
+	}
+	md, err := os.ReadFile(filepath.Join(dir, "results.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"## Paper comparison", "### Table 3 — v1-base-weibull", "### Figure 4", "### Shape claims"} {
+		if !strings.Contains(string(md), want) {
+			t.Errorf("results.md lacks %q", want)
+		}
+	}
+	violated := strings.Contains(string(md), "Violated:")
+	if err := run([]string{"paper", "-check", dir}); (err != nil) != violated {
+		t.Errorf("-check = %v, but results.md reports violated claims: %v", err, violated)
+	}
+}
+
 func TestPaperCommandErrors(t *testing.T) {
 	dir := t.TempDir()
 	if err := run([]string{"paper", "-out", dir, "-scale", "giant"}); err == nil {
@@ -106,5 +145,21 @@ func TestPaperCommandErrors(t *testing.T) {
 	}
 	if err := run([]string{"paper", "-check", filepath.Join(dir, "missing")}); err == nil {
 		t.Error("-check on a missing directory passed")
+	}
+}
+
+// TestPaperUnknownNamedSpecs covers picking a paper grid by name: a named
+// set other than "all" or "xhafa09" and a -specs flag without a value are
+// rejected, as is the retired per-table experiment command.
+func TestPaperUnknownNamedSpecs(t *testing.T) {
+	dir := t.TempDir()
+	if err := run([]string{"paper", "-out", dir, "-specs", "xhafa10"}); err == nil {
+		t.Error("unknown named spec set accepted")
+	}
+	if err := run([]string{"paper", "-out", dir, "-specs"}); err == nil {
+		t.Error("missing -specs value accepted")
+	}
+	if err := run([]string{"experiment", "table1"}); err == nil {
+		t.Error("retired experiment command accepted")
 	}
 }

@@ -1,23 +1,13 @@
-package experiments
+// Package forkjoin holds the library's one bounded, index-merged fork-join.
+// Every concurrent fan-out outside the request plane rides ForEachIndexed
+// (the scenario corpus and suite, island GA evolution, portfolio members),
+// and the nakedgo lint rule keeps it that way.
+package forkjoin
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// workerCount resolves the number of concurrent workers the config allows:
-// one when Parallel is off, Workers when set, and one per available CPU
-// otherwise.
-func (c Config) workerCount() int {
-	if !c.Parallel {
-		return 1
-	}
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // ForEachIndexed runs fn(i) for every i in [0, n) as a fork-join: the
 // caller and min(n, workers)-1 helper goroutines claim indices from a

@@ -156,8 +156,8 @@ type Config struct {
 	Stop func(evals int, best wmn.Metrics) bool
 }
 
-// DefaultConfig returns the experiment configuration described in
-// DESIGN.md §3.
+// DefaultConfig returns the configuration of the paper's GA runs: every
+// field at the default its documentation lists.
 func DefaultConfig() Config { return Config{}.withDefaults() }
 
 func (c Config) withDefaults() Config {

@@ -22,8 +22,8 @@ import (
 // from its own RNG stream derived from (run seed, island index), islands
 // only interact at generation barriers, and migration is applied in island
 // index order from a pre-barrier snapshot. Results are therefore
-// byte-identical at any worker count, the same invariance the experiments
-// and scenarios fan-outs guarantee.
+// byte-identical at any worker count, the same invariance the scenario
+// suite and portfolio fan-outs guarantee.
 
 // Topology selects the migration graph between islands.
 type Topology int
@@ -63,7 +63,7 @@ func ParseTopology(name string) (Topology, error) {
 }
 
 // FanOut fans n indexed units of work across workers and returns the
-// lowest-index error. Its signature matches experiments.ForEachIndexed
+// lowest-index error. Its signature matches forkjoin.ForEachIndexed
 // bound to a worker count; callers inject that so island evolution rides
 // the library's one bounded fork-join rather than ad hoc goroutines. A nil
 // FanOut runs sequentially — by the fan-out invariance contract the
@@ -108,7 +108,7 @@ type IslandConfig struct {
 	// DefaultIslandConfig selects RingTopology explicitly.
 	Topology Topology
 	// FanOut carries island evolution across workers; nil evolves the
-	// islands sequentially. Inject experiments.ForEachIndexed bound to a
+	// islands sequentially. Inject forkjoin.ForEachIndexed bound to a
 	// worker count; the result is identical at any count.
 	FanOut FanOut
 	// OnBarrier, when non-nil, is called after every evolution chunk (each

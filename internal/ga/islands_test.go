@@ -1,8 +1,8 @@
 package ga_test
 
-// External test package: the worker-invariance tests fan islands across
-// the experiments pool, which the ga package itself cannot import (the
-// experiment runners import ga).
+// External test package: the worker-invariance tests fan islands through
+// forkjoin.ForEachIndexed from outside ga, the way every production caller
+// injects its FanOut.
 
 import (
 	"fmt"
@@ -10,7 +10,7 @@ import (
 	"runtime"
 	"testing"
 
-	"meshplace/internal/experiments"
+	"meshplace/internal/forkjoin"
 	"meshplace/internal/ga"
 	"meshplace/internal/placement"
 	"meshplace/internal/rng"
@@ -53,11 +53,11 @@ func quickIslandCfg(fan ga.FanOut) ga.IslandConfig {
 	}
 }
 
-// poolFanOut binds the island fan-out to experiments.ForEachIndexed at the
+// poolFanOut binds the island fan-out to forkjoin.ForEachIndexed at the
 // given worker count — the injection RunIslands expects in production.
 func poolFanOut(workers int) ga.FanOut {
 	return func(n int, fn func(i int) error) error {
-		return experiments.ForEachIndexed(n, workers, fn)
+		return forkjoin.ForEachIndexed(n, workers, fn)
 	}
 }
 

@@ -202,7 +202,7 @@ func TestPolicyEnabled(t *testing.T) {
 		{"globalrand", "internal/rng", false},
 		{"globalrand", "internal/server", true},
 		{"nakedgo", "internal/wmn", true},
-		{"nakedgo", "internal/experiments", false},
+		{"nakedgo", "internal/forkjoin", false},
 		{"nakedgo", "cmd/wmnplace", false},
 		{"ctxbackground", "internal/server", true},
 		{"exporteddoc", "internal/server", true},

@@ -77,7 +77,7 @@ func DefaultPolicy() *Policy {
 				{Path: "internal/server", Reason: "the serving/telemetry layer: request latency and queue-wait metrics, batch maxWait timers, loadgen pacing are all wall-time by definition"},
 			},
 			"nakedgo": {
-				{Path: "internal/experiments", Reason: "owns ForEachIndexed, the bounded index-merged fork-join every other package's fan-out rides"},
+				{Path: "internal/forkjoin", Reason: "owns ForEachIndexed, the bounded index-merged fork-join every other package's fan-out rides"},
 				{Path: "internal/server", Reason: "HTTP serving layer: the server's one solve pool, async job waiters, portfolio members, SSE hub and loadgen workers are request-plane goroutines, not library fan-out"},
 				{Path: "internal/cluster", Reason: "replica forwarding and journal replay run on the request plane"},
 				{Path: "cmd", Reason: "process entry points may spawn servers and signal handlers"},

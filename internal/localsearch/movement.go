@@ -108,7 +108,7 @@ func (RandomMovement) ProposeDelta(in *wmn.Instance, sol wmn.Solution, dst wmn.S
 // the most powerful router of the sparse area, and exchange their
 // placements, "promoting the placement of best routers in most dense areas".
 //
-// Two generalizations documented in DESIGN.md §3 keep the movement
+// Two generalizations of the paper's description keep the movement
 // effective from arbitrary starting solutions:
 //
 //  1. Dense/sparse candidate cells are drawn from the top-K/bottom-K of the
@@ -231,7 +231,7 @@ func (s *SwapMovement) ProposeDelta(in *wmn.Instance, sol wmn.Solution, dst wmn.
 
 	// Step 4: least powerful router within the dense area — or a virtual
 	// slot, either because the dense area is empty or because the
-	// proposal drew a virtual-slot move (DESIGN.md §3).
+	// proposal drew a virtual-slot move (generalization 2 on SwapMovement).
 	worst := extremeRouter(in, d, dense, false /* mostPowerful */)
 	if worst < 0 || worst == best || r.Float64() < s.VirtualSlotProb {
 		if worst < 0 && s.VirtualSlotProb <= 0 {

@@ -11,6 +11,11 @@
 // output, and iteration order is fixed — so two runs with the same
 // manifest are byte-identical at any worker count, which is exactly what
 // Check re-verifies against a directory of previously written files.
+//
+// A grid that holds the source paper's studies (see paper.go; the named
+// spec set Xhafa09Specs) also renders the paper's values beside the
+// measured means, and Check fails on any violated shape claim of the
+// paper (shape.go), so one gate pins both the bytes and the claims.
 package report
 
 import (
@@ -128,9 +133,10 @@ func WriteFiles(dir string, files map[string][]byte) error {
 }
 
 // Check re-runs the experiment a directory's manifest describes and
-// verifies every artifact matches byte for byte — the drift gate behind
-// `make paper-check`: if code changes alter any documented number, the
-// checked-in snapshot must be regenerated in the same commit.
+// verifies every artifact matches byte for byte and every paper shape
+// claim holds — the gate behind `make paper-check`: if code changes alter
+// any documented number, the checked-in snapshot must be regenerated in
+// the same commit, and no regeneration may break a claim of the paper.
 func Check(dir string) error {
 	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
@@ -181,6 +187,9 @@ func Check(dir string) error {
 	if len(drifted) > 0 {
 		return fmt.Errorf("report: %s drifted from a fresh run (regenerate the snapshot): %s",
 			dir, strings.Join(drifted, ", "))
+	}
+	if v := rep.Violations(); len(v) > 0 {
+		return fmt.Errorf("report: %s violates %d paper shape claim(s): %s", dir, len(v), strings.Join(v, "; "))
 	}
 	return nil
 }
@@ -313,6 +322,7 @@ func (r *Report) markdown(fp string) []byte {
 		fmt.Fprintf(&b, "| S%d | `%s` | %.4f | %.1f%% | %.1f%% |\n",
 			vi+1, spec, sum.fitness/n, 100*sum.connectivity/n, 100*sum.coverage/n)
 	}
+	b.Write(r.paperMarkdown())
 	return b.Bytes()
 }
 

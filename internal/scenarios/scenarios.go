@@ -3,7 +3,7 @@
 // internal/dist — the paper's four distributions plus the extended
 // hotspots, ring and trace layouts — across the three benchmark-family
 // scales, and a suite runner that sweeps solvers over the corpus through
-// the experiments.ForEachIndexed fork-join.
+// the forkjoin.ForEachIndexed fork-join.
 //
 // The corpus is a reproducibility artifact: GenerateCorpus(seed, workers)
 // yields byte-identical instances at any worker count, and the per-version
@@ -18,7 +18,7 @@ import (
 	"runtime"
 
 	"meshplace/internal/dist"
-	"meshplace/internal/experiments"
+	"meshplace/internal/forkjoin"
 	"meshplace/internal/geom"
 	"meshplace/internal/rng"
 	"meshplace/internal/wmn"
@@ -57,6 +57,44 @@ type Info struct {
 	Dist string `json:"dist"`
 }
 
+// familyScale names one instance size of the corpus.
+type familyScale struct {
+	// label names the scale ("half", "base", "double").
+	label string
+	// side is the square area's side length; routers and clients scale
+	// with the area so density is preserved.
+	side    float64
+	routers int
+	clients int
+}
+
+// familyScales returns the three corpus scales. The base scale is the
+// paper's 128×128 / 64-router / 192-client instance (§5.1); the half and
+// double scales keep router and client densities constant.
+func familyScales() []familyScale {
+	return []familyScale{
+		{label: "half", side: 91, routers: 32, clients: 96},
+		{label: "base", side: 128, routers: 64, clients: 192},
+		{label: "double", side: 181, routers: 128, clients: 384},
+	}
+}
+
+// familyDistributions returns the four §5.1 distributions scaled to an
+// area of the given side (the base parameters are defined on side 128), in
+// the paper's kind order. Table 1's caption fixes Normal(μ=64, σ=128/10);
+// the paper reports no Exponential or Weibull parameters, so those are
+// calibrated to produce comparable hotspot layouts (README, "Paper
+// reproduction").
+func familyDistributions(side float64) []dist.Spec {
+	f := side / 128
+	return []dist.Spec{
+		dist.UniformSpec(),
+		dist.NormalSpec(side/2, side/2, 12.8*f),
+		dist.ExponentialSpec(32 * f),
+		dist.WeibullSpec(1.8, 36*f),
+	}
+}
+
 // layout pairs a layout name with its distribution spec for one scale.
 type layout struct {
 	name string
@@ -64,12 +102,11 @@ type layout struct {
 }
 
 // layouts returns the corpus layouts scaled to an area of the given side:
-// the benchmark family's four paper distributions followed by the extended
-// kinds.
-func layouts(scale experiments.FamilyScale) []layout {
-	side := scale.Side
+// the four paper distributions followed by the extended kinds.
+func layouts(scale familyScale) []layout {
+	side := scale.side
 	var out []layout
-	for _, spec := range experiments.FamilyDistributions(side) {
+	for _, spec := range familyDistributions(side) {
 		out = append(out, layout{name: string(spec.Kind), spec: spec})
 	}
 	return append(out,
@@ -79,7 +116,7 @@ func layouts(scale experiments.FamilyScale) []layout {
 			dist.Hotspot{X: 0.5 * side, Y: 0.8 * side, Sigma: 0.1 * side, Weight: 1.5},
 		)},
 		layout{name: "ring", spec: dist.RingSpec(side/2, side/2, 0.25*side, 0.4*side)},
-		layout{name: "trace", spec: dist.TraceSpec(TracePath(scale.Label))},
+		layout{name: "trace", spec: dist.TraceSpec(TracePath(scale.label))},
 	)
 }
 
@@ -95,10 +132,10 @@ func TracePath(scaleLabel string) string {
 // point surveys. The points derive from traceSeed alone, so they are fixed
 // per corpus version.
 func init() {
-	for _, scale := range experiments.FamilyScales() {
-		r := rng.DeriveString(traceSeed, "scenarios/trace/"+scale.Label)
+	for _, scale := range familyScales() {
+		r := rng.DeriveString(traceSeed, "scenarios/trace/"+scale.label)
 		const grid = 8
-		cell := scale.Side / grid
+		cell := scale.side / grid
 		pts := make([]geom.Point, 0, grid*grid)
 		for gy := 0; gy < grid; gy++ {
 			for gx := 0; gx < grid; gx++ {
@@ -108,31 +145,31 @@ func init() {
 				))
 			}
 		}
-		dist.RegisterTrace(TracePath(scale.Label), pts)
+		dist.RegisterTrace(TracePath(scale.label), pts)
 	}
 }
 
 // Corpus returns the full scenario corpus for a generation seed: every
-// layout × every benchmark-family scale, in a fixed order (scales outer,
+// layout × every scale, in a fixed order (scales outer,
 // layouts inner). Per-scenario seeds derive from the corpus seed and the
 // scenario name, so scenarios stay decorrelated and reordering the corpus
 // cannot silently change any instance.
 func Corpus(seed uint64) []Scenario {
 	base := wmn.DefaultGenConfig()
 	var out []Scenario
-	for _, scale := range experiments.FamilyScales() {
+	for _, scale := range familyScales() {
 		for _, l := range layouts(scale) {
-			name := fmt.Sprintf("%s-%s-%s", Version, scale.Label, l.name)
+			name := fmt.Sprintf("%s-%s-%s", Version, scale.label, l.name)
 			out = append(out, Scenario{
 				Name:   name,
-				Scale:  scale.Label,
+				Scale:  scale.label,
 				Layout: l.name,
 				Gen: wmn.GenConfig{
 					Name:       name,
-					Width:      scale.Side,
-					Height:     scale.Side,
-					NumRouters: scale.NumRouters,
-					NumClients: scale.NumClients,
+					Width:      scale.side,
+					Height:     scale.side,
+					NumRouters: scale.routers,
+					NumClients: scale.clients,
 					RadiusMin:  base.RadiusMin,
 					RadiusMax:  base.RadiusMax,
 					ClientDist: l.spec,
@@ -183,8 +220,7 @@ func Filter(scs []Scenario, scales ...string) []Scenario {
 }
 
 // GenerateCorpus generates every instance of the corpus, fanning the work
-// across at most workers goroutines (0 = one per CPU, matching
-// experiments.Config). Output order follows Corpus order and each instance
+// across at most workers goroutines (0 = one per CPU). Output order follows Corpus order and each instance
 // derives only from its own scenario seed, so the result is byte-identical
 // at any worker count.
 func GenerateCorpus(seed uint64, workers int) ([]*wmn.Instance, error) {
@@ -198,7 +234,7 @@ func GenerateScenarios(scs []Scenario, workers int) ([]*wmn.Instance, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	out := make([]*wmn.Instance, len(scs))
-	err := experiments.ForEachIndexed(len(scs), workers, func(i int) error {
+	err := forkjoin.ForEachIndexed(len(scs), workers, func(i int) error {
 		in, err := wmn.Generate(scs[i].Gen)
 		if err != nil {
 			return fmt.Errorf("scenarios: %s: %w", scs[i].Name, err)

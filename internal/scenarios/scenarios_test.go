@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"meshplace/internal/dist"
-	"meshplace/internal/experiments"
+	"meshplace/internal/geom"
 	"meshplace/internal/wmn"
 )
 
@@ -94,7 +94,7 @@ func TestGenerateCorpusGoldenHashes(t *testing.T) {
 
 func TestCorpusShape(t *testing.T) {
 	scs := Corpus(goldenSeed)
-	scales := experiments.FamilyScales()
+	scales := familyScales()
 	wantLayouts := []string{"uniform", "normal", "exponential", "weibull", "hotspots", "ring", "trace"}
 	if len(scs) != len(scales)*len(wantLayouts) {
 		t.Fatalf("corpus has %d scenarios, want %d", len(scs), len(scales)*len(wantLayouts))
@@ -104,8 +104,8 @@ func TestCorpusShape(t *testing.T) {
 		for _, l := range wantLayouts {
 			sc := scs[i]
 			i++
-			if sc.Scale != scale.Label || sc.Layout != l {
-				t.Fatalf("scenario %d is %s/%s, want %s/%s", i-1, sc.Scale, sc.Layout, scale.Label, l)
+			if sc.Scale != scale.label || sc.Layout != l {
+				t.Fatalf("scenario %d is %s/%s, want %s/%s", i-1, sc.Scale, sc.Layout, scale.label, l)
 			}
 			if err := sc.Gen.Validate(); err != nil {
 				t.Errorf("%s: %v", sc.Name, err)
@@ -123,6 +123,25 @@ func TestCorpusShape(t *testing.T) {
 			t.Errorf("%s and %s share seed %d", prev, sc.Name, sc.Gen.Seed)
 		}
 		seeds[sc.Gen.Seed] = sc.Name
+	}
+}
+
+// TestCorpusDensityPreserved pins the scale rule: router density (N/area)
+// is constant across scales, so the topology regime carries over, and
+// every scenario has three clients per router.
+func TestCorpusDensityPreserved(t *testing.T) {
+	base := -1.0
+	for _, sc := range Corpus(goldenSeed) {
+		density := float64(sc.Gen.NumRouters) / (sc.Gen.Width * sc.Gen.Height)
+		if base < 0 {
+			base = density
+		}
+		if density < base*0.9 || density > base*1.1 {
+			t.Errorf("%s: router density %.5f deviates from %.5f", sc.Name, density, base)
+		}
+		if sc.Gen.NumClients != 3*sc.Gen.NumRouters {
+			t.Errorf("%s: client/router ratio %d/%d, want 3:1", sc.Name, sc.Gen.NumClients, sc.Gen.NumRouters)
+		}
 	}
 }
 
@@ -183,5 +202,95 @@ func TestCorpusSeedSensitivity(t *testing.T) {
 	}
 	if same > 0 {
 		t.Errorf("%d of %d instances identical across different corpus seeds", same, len(a))
+	}
+}
+
+// TestFamilyScalesShape pins the paper family inside the corpus: three
+// scales × the four §5.1 distributions, each spec valid, each kind once
+// per scale, and every family scenario named uniquely.
+func TestFamilyScalesShape(t *testing.T) {
+	kinds := make(map[dist.Kind]int)
+	for _, scale := range familyScales() {
+		for _, spec := range familyDistributions(scale.side) {
+			if err := spec.Validate(); err != nil {
+				t.Errorf("%s/%s: %v", scale.label, spec.Kind, err)
+			}
+			kinds[spec.Kind]++
+		}
+	}
+	for _, k := range dist.PaperKinds() {
+		if kinds[k] != len(familyScales()) {
+			t.Errorf("distribution %v appears %d times, want %d", k, kinds[k], len(familyScales()))
+		}
+	}
+	if len(kinds) != len(dist.PaperKinds()) {
+		t.Errorf("family holds %d kinds, want the %d paper kinds", len(kinds), len(dist.PaperKinds()))
+	}
+	names := map[string]bool{}
+	for _, sc := range Corpus(goldenSeed) {
+		if names[sc.Name] {
+			t.Errorf("duplicate scenario name %q", sc.Name)
+		}
+		names[sc.Name] = true
+	}
+	for _, scale := range familyScales() {
+		for _, k := range dist.PaperKinds() {
+			if name := Version + "-" + scale.label + "-" + string(k); !names[name] {
+				t.Errorf("corpus lacks family scenario %s", name)
+			}
+		}
+	}
+}
+
+// TestPaperLayoutDistributionsBuild pins the client distributions of the
+// paper's three studies: each base-scale paper layout's spec builds a
+// sampler on its scenario's area, and a layout the corpus does not hold
+// matches no scenario.
+func TestPaperLayoutDistributionsBuild(t *testing.T) {
+	byLayout := map[string]Scenario{}
+	for _, sc := range Filter(Corpus(goldenSeed), "base") {
+		byLayout[sc.Layout] = sc
+	}
+	for _, l := range []string{"normal", "exponential", "weibull"} {
+		sc, ok := byLayout[l]
+		if !ok {
+			t.Fatalf("no base-scale %s scenario", l)
+		}
+		if sc.Gen.ClientDist.Kind != dist.Kind(l) {
+			t.Errorf("%s: client distribution %v, want %s", sc.Name, sc.Gen.ClientDist.Kind, l)
+		}
+		if _, err := sc.Gen.ClientDist.Build(geom.Area(sc.Gen.Width, sc.Gen.Height)); err != nil {
+			t.Errorf("%s: spec %v does not build: %v", sc.Name, sc.Gen.ClientDist, err)
+		}
+	}
+	if _, ok := byLayout["pareto"]; ok {
+		t.Error("an unknown layout matched a scenario")
+	}
+}
+
+// TestGenerateCorpusValidAndRepeatable pins corpus generation for a seed
+// other than the golden one: every instance validates, and the same seed
+// regenerates identical instances.
+func TestGenerateCorpusValidAndRepeatable(t *testing.T) {
+	instances, err := GenerateCorpus(7, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(instances) != len(Corpus(7)) {
+		t.Fatalf("%d instances for %d scenarios", len(instances), len(Corpus(7)))
+	}
+	for _, in := range instances {
+		if err := in.Validate(); err != nil {
+			t.Errorf("%s: %v", in.Name, err)
+		}
+	}
+	again, err := GenerateCorpus(7, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range instances {
+		if wmn.HashInstance(instances[i]) != wmn.HashInstance(again[i]) {
+			t.Errorf("%s: corpus generation not repeatable", instances[i].Name)
+		}
 	}
 }

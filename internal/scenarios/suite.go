@@ -9,7 +9,7 @@ import (
 	"strconv"
 	"time"
 
-	"meshplace/internal/experiments"
+	"meshplace/internal/forkjoin"
 	"meshplace/internal/rng"
 	"meshplace/internal/wmn"
 )
@@ -104,7 +104,7 @@ func RunSuite(scs []Scenario, solvers []NamedSolver, cfg SuiteConfig) (*Report, 
 		instances[i] = in
 		return nil
 	}
-	if err := experiments.ForEachIndexed(len(scs), workers, generate); err != nil {
+	if err := forkjoin.ForEachIndexed(len(scs), workers, generate); err != nil {
 		return nil, err
 	}
 	evals := make([]*wmn.Evaluator, len(instances))
@@ -145,7 +145,7 @@ func RunSuite(scs []Scenario, solvers []NamedSolver, cfg SuiteConfig) (*Report, 
 		}
 		return nil
 	}
-	if err := experiments.ForEachIndexed(n, workers, unit); err != nil {
+	if err := forkjoin.ForEachIndexed(n, workers, unit); err != nil {
 		return nil, err
 	}
 	return &Report{Version: Version, Seed: cfg.Seed, Results: results}, nil

@@ -6,7 +6,7 @@ import (
 	"runtime"
 	"strings"
 
-	"meshplace/internal/experiments"
+	"meshplace/internal/forkjoin"
 	"meshplace/internal/ga"
 	"meshplace/internal/localsearch"
 	"meshplace/internal/placement"
@@ -412,7 +412,7 @@ func init() {
 					Migrants:     spec.specInt("migrants"),
 					Topology:     topology,
 					FanOut: func(n int, fn func(i int) error) error {
-						return experiments.ForEachIndexed(n, runtime.GOMAXPROCS(0), fn)
+						return forkjoin.ForEachIndexed(n, runtime.GOMAXPROCS(0), fn)
 					},
 				}
 				// Cross-parameter constraints (inbound migrants must not

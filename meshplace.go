@@ -17,9 +17,10 @@
 //   - instance generation with Uniform, Normal, Exponential and Weibull
 //     client distributions, plus multi-modal hotspot, ring/corridor and
 //     trace-driven layouts;
-//   - experiment runners that regenerate every table and figure of the
-//     paper's evaluation, and a versioned scenario corpus with a solver
-//     suite for robustness studies (RunScenarioSuite).
+//   - a reproducible experiment runner (RunPaper) whose checked-in
+//     runs/xhafa09 grid regenerates the paper's Tables 1–3 and Figure 4,
+//     and a versioned scenario corpus with a solver suite for robustness
+//     studies (RunScenarioSuite).
 //
 // The quickest path from zero to a placed network:
 //

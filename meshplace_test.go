@@ -118,23 +118,6 @@ func TestFacadeGA(t *testing.T) {
 	}
 }
 
-func TestFacadeExperimentQuick(t *testing.T) {
-	study, err := meshplace.RunStudy(meshplace.StudyNormal, meshplace.QuickExperimentConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(study.Results) != 7 {
-		t.Fatalf("%d study results", len(study.Results))
-	}
-	cmp, err := meshplace.RunSearchComparison(meshplace.QuickExperimentConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cmp.Traces) != 2 {
-		t.Fatalf("%d traces", len(cmp.Traces))
-	}
-}
-
 func TestFacadeClientSpecs(t *testing.T) {
 	meshplace.RegisterClientTrace("facade/test", []meshplace.Point{
 		meshplace.Pt(10, 10), meshplace.Pt(100, 100), meshplace.Pt(64, 32),

@@ -36,6 +36,7 @@ func WritePaper(dir string, r *PaperReport) error {
 }
 
 // CheckPaper re-runs the experiment a directory's manifest describes and
-// fails unless every artifact reproduces byte for byte — the drift gate
+// fails unless every artifact reproduces byte for byte and every shape
+// claim of the source paper the grid holds a study for is met — the gate
 // behind `make paper-check`.
 func CheckPaper(dir string) error { return report.Check(dir) }

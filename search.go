@@ -3,7 +3,7 @@ package meshplace
 import (
 	"runtime"
 
-	"meshplace/internal/experiments"
+	"meshplace/internal/forkjoin"
 	"meshplace/internal/ga"
 	"meshplace/internal/localsearch"
 	"meshplace/internal/rng"
@@ -132,7 +132,7 @@ func DefaultIslandGAConfig() IslandGAConfig { return ga.DefaultIslandConfig() }
 func ParseGATopology(name string) (GATopology, error) { return ga.ParseTopology(name) }
 
 // IslandFanOut returns a fan-out of at most the given number of workers
-// (0 = one per CPU) — the experiments.ForEachIndexed fork-join every
+// (0 = one per CPU) — the forkjoin.ForEachIndexed fork-join every
 // concurrent subsystem of the library shares. Island results are
 // byte-identical at any worker count.
 func IslandFanOut(workers int) GAFanOut {
@@ -140,7 +140,7 @@ func IslandFanOut(workers int) GAFanOut {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return func(n int, fn func(i int) error) error {
-		return experiments.ForEachIndexed(n, workers, fn)
+		return forkjoin.ForEachIndexed(n, workers, fn)
 	}
 }
 
@@ -155,55 +155,4 @@ func RunIslandGA(eval *Evaluator, init GAInitializer, cfg IslandGAConfig, seed u
 		cfg.FanOut = IslandFanOut(0)
 	}
 	return ga.RunIslands(eval, init, cfg, seed)
-}
-
-// Experiment runners regenerating the paper's tables and figures.
-type (
-	// ExperimentConfig parameterizes the experiment runners.
-	ExperimentConfig = experiments.Config
-	// StudyID names one distribution study (normal, exponential, weibull).
-	StudyID = experiments.StudyID
-	// Study is one distribution's results: the data behind one table and
-	// one GA-evolution figure.
-	Study = experiments.Study
-	// SearchComparison is the data behind Figure 4.
-	SearchComparison = experiments.SearchComparison
-)
-
-// Study identifiers in the paper's order.
-const (
-	StudyNormal      = experiments.StudyNormal      // Table 1 / Figure 1
-	StudyExponential = experiments.StudyExponential // Table 2 / Figure 2
-	StudyWeibull     = experiments.StudyWeibull     // Table 3 / Figure 3
-)
-
-// DefaultExperimentConfig returns the full paper-scale experiment
-// configuration; QuickExperimentConfig the reduced one used by tests.
-func DefaultExperimentConfig() ExperimentConfig { return experiments.Default() }
-
-// QuickExperimentConfig returns a shrunken configuration whose runs finish
-// in seconds while preserving the qualitative shapes.
-func QuickExperimentConfig() ExperimentConfig { return experiments.Quick() }
-
-// RunStudy executes the stand-alone and GA experiments of one distribution
-// (Tables 1–3 / Figures 1–3).
-func RunStudy(id StudyID, cfg ExperimentConfig) (*Study, error) {
-	return experiments.RunStudy(id, cfg)
-}
-
-// RunSearchComparison executes the Figure 4 experiment (swap vs random
-// movement neighborhood search).
-func RunSearchComparison(cfg ExperimentConfig) (*SearchComparison, error) {
-	return experiments.RunSearchComparison(cfg)
-}
-
-// BenchmarkFamily returns the generation configs of the §5.1 benchmark of
-// generated instances: three scales × the four client distributions.
-func BenchmarkFamily(seed uint64) []GenConfig {
-	return experiments.BenchmarkFamily(seed)
-}
-
-// GenerateFamily generates every instance of the benchmark family.
-func GenerateFamily(seed uint64) ([]*Instance, error) {
-	return experiments.GenerateFamily(seed)
 }
