@@ -3,11 +3,12 @@
 # gofmt check, a fuzz smoke and the benchdiff regression gate.
 GO ?= go
 
-# Per-PR benchmark stream: override for a scratch run, e.g.
-#   make bench BENCH_OUT=BENCH_CI.json
-BENCH_OUT ?= BENCH_PR9.json
-# Committed baseline the regression check diffs against.
-BENCH_BASELINE ?= BENCH_PR8.json
+# Fresh benchmark stream, ignored by git so `make bench` never overwrites a
+# committed baseline; pass BENCH_OUT explicitly to record a new baseline.
+BENCH_OUT ?= BENCH_CI.json
+# Committed baseline the regression check diffs against (the one ci.yml
+# uses).
+BENCH_BASELINE ?= BENCH_PR9.json
 
 # Checked-in experiment snapshots (README embeds their tables): runs/paper
 # sweeps the default solver suite over the whole corpus, runs/xhafa09 is
@@ -68,9 +69,8 @@ race:
 # sample: BenchmarkServeBatched, and at high iteration counts
 # BenchmarkIncrementalVsFull and BenchmarkSwapPropose, the chained swap
 # proposal; each takes 5 samples, of which benchdiff keeps the fastest.
-# The test2json event stream is written to $(BENCH_OUT) so the perf
-# trajectory is recorded per PR and can be diffed across commits with
-# `make benchdiff`.
+# The test2json event stream is written to $(BENCH_OUT), which `make
+# benchdiff` diffs against the committed baseline.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 3x -json ./... > $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench '^BenchmarkServeBatched$$' -benchtime 3x -count 5 -benchmem -json ./internal/server >> $(BENCH_OUT)

@@ -35,7 +35,6 @@ var commands = []command{
 	{"analyze", "map, per-router report and robustness sweep of a placement", runAnalyze},
 	{"ga", "run the genetic algorithm from an ad hoc initializer (-islands for the island model)", runGA},
 	{"instance", "generate a problem instance and write it as JSON", runInstance},
-	{"loadgen", "drive request load at a server and report throughput/latency", runLoadgen},
 	{"paper", "run the reproducible experiment grid (CSV, markdown tables, manifest)", runPaper},
 	{"place", "run one ad hoc placement method", runPlace},
 	{"search", "run the neighborhood search (swap/random movements)", runSearch},

@@ -153,26 +153,6 @@ func TestSuiteCommandErrors(t *testing.T) {
 	}
 }
 
-func TestLoadgenCommand(t *testing.T) {
-	csvOut := filepath.Join(t.TempDir(), "requests.csv")
-	args := []string{
-		"loadgen", "-requests", "24", "-concurrency", "4", "-seeds", "2",
-		"-spec", "adhoc:method=Near", "-scenario", "v1-half-uniform",
-		"-csv", csvOut, "-json",
-	}
-	if err := run(args); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(csvOut)
-	if err != nil {
-		t.Fatalf("CSV not written: %v", err)
-	}
-	// Header + 24 request rows.
-	if lines := strings.Count(strings.TrimSpace(string(data)), "\n") + 1; lines != 25 {
-		t.Errorf("CSV has %d lines, want 25", lines)
-	}
-}
-
 func TestServeCommandErrors(t *testing.T) {
 	// Cluster-mode flag validation fails before serving starts.
 	if err := run([]string{"serve", "-addr", "127.0.0.1:0", "-quota", "abc"}); err == nil {
@@ -181,15 +161,6 @@ func TestServeCommandErrors(t *testing.T) {
 	if err := run([]string{"serve", "-addr", "127.0.0.1:0",
 		"-peers", "http://other:1", "-self", "http://me:2"}); err == nil {
 		t.Error("self outside the peer list accepted")
-	}
-}
-
-func TestLoadgenCommandErrors(t *testing.T) {
-	if err := run([]string{"loadgen", "-scenario", "v1-mega-spiral", "-requests", "1"}); err == nil {
-		t.Error("unknown scenario accepted")
-	}
-	if err := run([]string{"loadgen", "-spec", "warp:speed=9", "-requests", "1"}); err == nil {
-		t.Error("unknown solver spec accepted")
 	}
 }
 

@@ -6,9 +6,9 @@
 //
 // The study's central observation — that the initializing method's quality
 // and diversity decide how far the GA gets — is reproduced by keeping the
-// operators deliberately standard: tournament (or roulette) selection,
-// uniform (or one-point or rectangular-region) position crossover, per-gene
-// uniform-reset (or Gaussian) mutation, and a small elite.
+// operators deliberately standard and fixed: tournament selection, uniform
+// position crossover, per-gene Gaussian mutation clamped to the area, and a
+// small elite.
 package ga
 
 import (
@@ -21,86 +21,19 @@ import (
 	"meshplace/internal/wmn"
 )
 
-// SelectionKind selects the parent-selection operator.
-type SelectionKind int
-
-// Supported selection operators.
-const (
-	Tournament SelectionKind = iota + 1
-	Roulette
-)
-
-// String implements fmt.Stringer.
-func (k SelectionKind) String() string {
-	switch k {
-	case Tournament:
-		return "tournament"
-	case Roulette:
-		return "roulette"
-	default:
-		return fmt.Sprintf("SelectionKind(%d)", int(k))
-	}
-}
-
-// CrossoverKind selects the recombination operator.
-type CrossoverKind int
-
-// Supported crossover operators.
-const (
-	// UniformCrossover takes each router position from a uniformly random
-	// parent.
-	UniformCrossover CrossoverKind = iota + 1
-	// OnePointCrossover splits the router index range at a random point.
-	OnePointCrossover
-	// RegionCrossover exchanges the routers inside a random rectangle of
-	// the area: the child inherits parent A's routers inside the
-	// rectangle and parent B's outside. A spatial operator that respects
-	// placement locality.
-	RegionCrossover
-)
-
-// String implements fmt.Stringer.
-func (k CrossoverKind) String() string {
-	switch k {
-	case UniformCrossover:
-		return "uniform"
-	case OnePointCrossover:
-		return "one-point"
-	case RegionCrossover:
-		return "region"
-	default:
-		return fmt.Sprintf("CrossoverKind(%d)", int(k))
-	}
-}
-
-// MutationKind selects the mutation operator.
-type MutationKind int
-
-// Supported mutation operators.
-const (
-	// ResetMutation re-draws a mutated position uniformly over the area.
-	ResetMutation MutationKind = iota + 1
-	// GaussianMutation perturbs a mutated position with Gaussian noise
-	// (sigma = Config.MutationSigma), clamped to the area.
-	GaussianMutation
-)
-
-// String implements fmt.Stringer.
-func (k MutationKind) String() string {
-	switch k {
-	case ResetMutation:
-		return "reset"
-	case GaussianMutation:
-		return "gaussian"
-	default:
-		return fmt.Sprintf("MutationKind(%d)", int(k))
-	}
-}
-
-// Config holds the GA parameters. Zero fields take the defaults listed on
-// each field; DefaultConfig returns the configuration used by the paper
-// experiments (population 64, 800 generations, recorded every 5 to match
-// the figures' x-axis).
+// Config holds the GA parameters: the sizes and rates of its one operator
+// set (tournament selection, uniform crossover, Gaussian mutation). Zero
+// fields take the defaults listed on each field; DefaultConfig returns the
+// configuration used by the paper experiments (population 64, 800
+// generations, recorded every 5 to match the figures' x-axis).
+//
+// Gaussian mutation only perturbs positions locally, which keeps the search
+// bound to the genetic material the initializer provided — the property the
+// paper's initializer study hinges on (§5: population diversity "is a
+// crucial factor to avoid premature convergence"). Uniform-reset mutation
+// was probed as the fix for the Corners-seeded GA's flat giant and
+// rejected: it lifts every initializer toward the same giant and washes out
+// the differences the study measures.
 type Config struct {
 	// PopSize is the population size. Default 64.
 	PopSize int
@@ -118,17 +51,6 @@ type Config struct {
 	// Elitism is the number of top individuals copied unchanged into the
 	// next generation. Default 2.
 	Elitism int
-	// Selection, Crossover, Mutation choose the operators. Defaults:
-	// Tournament, UniformCrossover, GaussianMutation. Gaussian mutation
-	// only perturbs positions locally, which keeps the search bound to the
-	// genetic material the initializer provided — the property the paper's
-	// initializer study hinges on (§5: population diversity "is a crucial
-	// factor to avoid premature convergence"). ResetMutation keeps
-	// injecting uniform positions and washes the initializers out; the
-	// operator ablation bench quantifies the difference.
-	Selection SelectionKind
-	Crossover CrossoverKind
-	Mutation  MutationKind
 	// RecordEvery records a history point every that many generations
 	// (plus the final generation). Default 5.
 	RecordEvery int
@@ -181,15 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Elitism == 0 {
 		c.Elitism = 2
-	}
-	if c.Selection == 0 {
-		c.Selection = Tournament
-	}
-	if c.Crossover == 0 {
-		c.Crossover = UniformCrossover
-	}
-	if c.Mutation == 0 {
-		c.Mutation = GaussianMutation
 	}
 	if c.RecordEvery == 0 {
 		c.RecordEvery = 5
@@ -362,10 +275,10 @@ func (ru *run) evolve(from, to int) {
 		// Offspring fill the rest.
 		for i := cfg.Elitism; i < cfg.PopSize; i++ {
 			child := ru.next[i].sol
-			a := selectParent(ru.pop, cfg, r)
+			a := tournamentSelect(ru.pop, cfg.TournamentK, r)
 			if r.Float64() < cfg.CrossoverRate {
-				b := selectParent(ru.pop, cfg, r)
-				crossover(ru.in, a.sol, b.sol, child, cfg, r)
+				b := tournamentSelect(ru.pop, cfg.TournamentK, r)
+				crossover(a.sol, b.sol, child, r)
 			} else {
 				copy(child.Positions, a.sol.Positions)
 			}
@@ -423,15 +336,8 @@ func sortByFitness(pop []individual) {
 	})
 }
 
-func selectParent(pop []individual, cfg Config, r *rng.Rand) individual {
-	switch cfg.Selection {
-	case Roulette:
-		return rouletteSelect(pop, r)
-	default:
-		return tournamentSelect(pop, cfg.TournamentK, r)
-	}
-}
-
+// tournamentSelect returns the fittest of k uniformly drawn individuals;
+// ties keep the earliest draw.
 func tournamentSelect(pop []individual, k int, r *rng.Rand) individual {
 	best := pop[r.IntN(len(pop))]
 	for i := 1; i < k; i++ {
@@ -443,71 +349,30 @@ func tournamentSelect(pop []individual, k int, r *rng.Rand) individual {
 	return best
 }
 
-func rouletteSelect(pop []individual, r *rng.Rand) individual {
-	total := 0.0
-	for _, ind := range pop {
-		total += ind.metrics.Fitness
-	}
-	if total <= 0 {
-		return pop[r.IntN(len(pop))]
-	}
-	pick := r.Float64() * total
-	for _, ind := range pop {
-		pick -= ind.metrics.Fitness
-		if pick <= 0 {
-			return ind
-		}
-	}
-	return pop[len(pop)-1]
-}
-
-func crossover(in *wmn.Instance, a, b, child wmn.Solution, cfg Config, r *rng.Rand) {
-	n := len(child.Positions)
-	switch cfg.Crossover {
-	case OnePointCrossover:
-		cut := r.IntN(n + 1)
-		copy(child.Positions[:cut], a.Positions[:cut])
-		copy(child.Positions[cut:], b.Positions[cut:])
-	case RegionCrossover:
-		area := in.Area()
-		p1 := geom.Pt(area.Min.X+r.Float64()*area.Width(), area.Min.Y+r.Float64()*area.Height())
-		p2 := geom.Pt(area.Min.X+r.Float64()*area.Width(), area.Min.Y+r.Float64()*area.Height())
-		region := geom.NewRect(p1, p2)
-		for i := 0; i < n; i++ {
-			if region.Contains(a.Positions[i]) {
-				child.Positions[i] = a.Positions[i]
-			} else {
-				child.Positions[i] = b.Positions[i]
-			}
-		}
-	default: // UniformCrossover
-		for i := 0; i < n; i++ {
-			if r.Float64() < 0.5 {
-				child.Positions[i] = a.Positions[i]
-			} else {
-				child.Positions[i] = b.Positions[i]
-			}
+// crossover is uniform position crossover: each router position comes from
+// a uniformly random parent, one draw per gene.
+func crossover(a, b, child wmn.Solution, r *rng.Rand) {
+	for i := range child.Positions {
+		if r.Float64() < 0.5 {
+			child.Positions[i] = a.Positions[i]
+		} else {
+			child.Positions[i] = b.Positions[i]
 		}
 	}
 }
 
+// mutate perturbs each gene with probability cfg.MutationRate by Gaussian
+// noise of spread cfg.MutationSigma, clamped to the area: one draw per gene
+// against the rate, then two normal draws (X, Y) for a mutated gene.
 func mutate(in *wmn.Instance, child wmn.Solution, cfg Config, r *rng.Rand) {
 	area := in.Area()
 	for i := range child.Positions {
 		if r.Float64() >= cfg.MutationRate {
 			continue
 		}
-		switch cfg.Mutation {
-		case GaussianMutation:
-			child.Positions[i] = area.Clamp(geom.Point{
-				X: child.Positions[i].X + r.NormFloat64()*cfg.MutationSigma,
-				Y: child.Positions[i].Y + r.NormFloat64()*cfg.MutationSigma,
-			})
-		default: // ResetMutation
-			child.Positions[i] = geom.Point{
-				X: area.Min.X + r.Float64()*area.Width(),
-				Y: area.Min.Y + r.Float64()*area.Height(),
-			}
-		}
+		child.Positions[i] = area.Clamp(geom.Point{
+			X: child.Positions[i].X + r.NormFloat64()*cfg.MutationSigma,
+			Y: child.Positions[i].Y + r.NormFloat64()*cfg.MutationSigma,
+		})
 	}
 }

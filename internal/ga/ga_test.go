@@ -201,57 +201,30 @@ func TestRunRejectsBadInitializerOutput(t *testing.T) {
 
 func TestCrossoverKindsProduceValidChildren(t *testing.T) {
 	in, eval := testSetup(t)
-	for _, kind := range []CrossoverKind{UniformCrossover, OnePointCrossover, RegionCrossover} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			cfg := quickCfg()
-			cfg.Crossover = kind
-			res, err := Run(eval, hotspotInit(t), cfg, rng.New(11))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := res.Best.Validate(in); err != nil {
-				t.Errorf("best invalid under %v: %v", kind, err)
-			}
-		})
-	}
-}
-
-func TestSelectionKindsRun(t *testing.T) {
-	in, eval := testSetup(t)
-	for _, kind := range []SelectionKind{Tournament, Roulette} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			cfg := quickCfg()
-			cfg.Selection = kind
-			res, err := Run(eval, hotspotInit(t), cfg, rng.New(12))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := res.Best.Validate(in); err != nil {
-				t.Errorf("best invalid under %v: %v", kind, err)
-			}
-		})
-	}
+	t.Run("uniform", func(t *testing.T) {
+		res, err := Run(eval, hotspotInit(t), quickCfg(), rng.New(11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Best.Validate(in); err != nil {
+			t.Errorf("best invalid: %v", err)
+		}
+	})
 }
 
 func TestMutationKindsStayInArea(t *testing.T) {
 	in, eval := testSetup(t)
-	for _, kind := range []MutationKind{ResetMutation, GaussianMutation} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			cfg := quickCfg()
-			cfg.Mutation = kind
-			cfg.MutationRate = 0.3 // stress mutation
-			res, err := Run(eval, hotspotInit(t), cfg, rng.New(13))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := res.Best.Validate(in); err != nil {
-				t.Errorf("best invalid under %v: %v", kind, err)
-			}
-		})
-	}
+	t.Run("gaussian", func(t *testing.T) {
+		cfg := quickCfg()
+		cfg.MutationRate = 0.3 // stress mutation
+		res, err := Run(eval, hotspotInit(t), cfg, rng.New(13))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Best.Validate(in); err != nil {
+			t.Errorf("best invalid: %v", err)
+		}
+	})
 }
 
 func TestCrossoverGenesComeFromParents(t *testing.T) {
@@ -264,13 +237,10 @@ func TestCrossoverGenesComeFromParents(t *testing.T) {
 		b.Positions[i] = geom.Pt(2, float64(i))
 	}
 	child := wmn.NewSolution(in.NumRouters())
-	for _, kind := range []CrossoverKind{UniformCrossover, OnePointCrossover, RegionCrossover} {
-		cfg := Config{Crossover: kind}
-		crossover(in, a, b, child, cfg, r)
-		for i, p := range child.Positions {
-			if p != a.Positions[i] && p != b.Positions[i] {
-				t.Errorf("%v: child gene %d = %v from neither parent", kind, i, p)
-			}
+	crossover(a, b, child, r)
+	for i, p := range child.Positions {
+		if p != a.Positions[i] && p != b.Positions[i] {
+			t.Errorf("child gene %d = %v from neither parent", i, p)
 		}
 	}
 }
@@ -291,36 +261,6 @@ func TestTournamentSelectionPicksBetterOnAverage(t *testing.T) {
 	// P(best wins k=3 tournament over 2 individuals) = 1 - (1/2)^3 = 0.875.
 	if frac := float64(wins) / trials; frac < 0.83 || frac > 0.92 {
 		t.Errorf("tournament win rate %.3f, want ≈0.875", frac)
-	}
-}
-
-func TestRouletteSelectionProportional(t *testing.T) {
-	pop := []individual{
-		{metrics: wmn.Metrics{Fitness: 0.25}},
-		{metrics: wmn.Metrics{Fitness: 0.75}},
-	}
-	r := rng.New(16)
-	second := 0
-	const trials = 4000
-	for i := 0; i < trials; i++ {
-		if rouletteSelect(pop, r).metrics.Fitness > 0.5 {
-			second++
-		}
-	}
-	if frac := float64(second) / trials; frac < 0.70 || frac > 0.80 {
-		t.Errorf("roulette pick rate %.3f for 0.75-fitness individual, want ≈0.75", frac)
-	}
-}
-
-func TestRouletteZeroFitnessUniform(t *testing.T) {
-	pop := []individual{
-		{metrics: wmn.Metrics{Fitness: 0}},
-		{metrics: wmn.Metrics{Fitness: 0}},
-	}
-	r := rng.New(17)
-	// Must not panic or loop; uniform fallback.
-	for i := 0; i < 100; i++ {
-		rouletteSelect(pop, r)
 	}
 }
 
@@ -348,17 +288,5 @@ func TestSolutionsInitializer(t *testing.T) {
 	}
 	if _, err := Run(eval, init, quickCfg(), rng.New(18)); err != nil {
 		t.Errorf("GA from solutions initializer failed: %v", err)
-	}
-}
-
-func TestOperatorKindStrings(t *testing.T) {
-	if Tournament.String() != "tournament" || Roulette.String() != "roulette" {
-		t.Error("selection kind strings wrong")
-	}
-	if UniformCrossover.String() != "uniform" || OnePointCrossover.String() != "one-point" || RegionCrossover.String() != "region" {
-		t.Error("crossover kind strings wrong")
-	}
-	if ResetMutation.String() != "reset" || GaussianMutation.String() != "gaussian" {
-		t.Error("mutation kind strings wrong")
 	}
 }

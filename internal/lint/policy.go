@@ -74,11 +74,11 @@ func DefaultPolicy() *Policy {
 		},
 		Allowances: map[string][]Allowance{
 			"wallclock": {
-				{Path: "internal/server", Reason: "the serving/telemetry layer: request latency and queue-wait metrics, batch maxWait timers, loadgen pacing are all wall-time by definition"},
+				{Path: "internal/server", Reason: "the serving/telemetry layer: request latency, queue-wait, batch-build and solve timings are wall-time by definition"},
 			},
 			"nakedgo": {
 				{Path: "internal/forkjoin", Reason: "owns ForEachIndexed, the bounded index-merged fork-join every other package's fan-out rides"},
-				{Path: "internal/server", Reason: "HTTP serving layer: the server's one solve pool, async job waiters, portfolio members, SSE hub and loadgen workers are request-plane goroutines, not library fan-out"},
+				{Path: "internal/server", Reason: "HTTP serving layer: the server's one solve pool, async job runners and portfolio members are request-plane goroutines, not library fan-out"},
 				{Path: "internal/cluster", Reason: "replica forwarding and journal replay run on the request plane"},
 				{Path: "cmd", Reason: "process entry points may spawn servers and signal handlers"},
 			},

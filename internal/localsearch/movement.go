@@ -139,8 +139,7 @@ type SwapMovement struct {
 	// VirtualSlotProb is the probability a proposal uses the virtual-slot
 	// relocation (generalization 2) instead of the faithful two-router
 	// exchange. The faithful Algorithm 3 behavior is obtained with 0; an
-	// empty dense cell always uses the virtual slot. See
-	// BenchmarkAblationSwapVirtualSlot for the comparison.
+	// empty dense cell always uses the virtual slot.
 	VirtualSlotProb float64
 
 	density *wmn.DensityGrid

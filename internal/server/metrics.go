@@ -2,7 +2,6 @@ package server
 
 import (
 	"sort"
-	"strconv"
 	"sync"
 )
 
@@ -21,12 +20,12 @@ const (
 	CacheMiss = "miss"
 )
 
-// RequestMetrics is the flat, CSV-friendly per-request telemetry attached
-// to every solve response: the 200 body of a synchronous POST /v1/solve
-// carries it next to the result, and finished jobs carry it in their
-// GET /v1/jobs/{id} view. All durations are nanoseconds so rows aggregate
-// with plain arithmetic; GET /v1/metrics serves the server-side aggregation
-// (counts plus p50/p99 per phase).
+// RequestMetrics is the flat per-request telemetry attached to every solve
+// response: the 200 body of a synchronous POST /v1/solve carries it next to
+// the result, and finished jobs carry it in their GET /v1/jobs/{id} view.
+// All durations are nanoseconds so rows aggregate with plain arithmetic;
+// GET /v1/metrics serves the server-side aggregation (counts plus p50/p99
+// per phase).
 type RequestMetrics struct {
 	// Mode is the execution path: "sync" or "async".
 	Mode string `json:"mode"`
@@ -50,25 +49,6 @@ type RequestMetrics struct {
 	SolveNs int64 `json:"solveNs"`
 	// TotalNs is the wall time from request admission to response payload.
 	TotalNs int64 `json:"totalNs"`
-}
-
-// RequestMetricsCSVHeader returns the column names matching CSVRow, for
-// loadgen dumps and offline aggregation.
-func RequestMetricsCSVHeader() []string {
-	return []string{"mode", "cachePath", "batchSize", "queueWaitNs", "batchBuildNs", "solveNs", "totalNs"}
-}
-
-// CSVRow renders the metrics as one CSV record in header order.
-func (m RequestMetrics) CSVRow() []string {
-	return []string{
-		m.Mode,
-		m.CachePath,
-		strconv.Itoa(m.BatchSize),
-		strconv.FormatInt(m.QueueWaitNs, 10),
-		strconv.FormatInt(m.BatchBuildNs, 10),
-		strconv.FormatInt(m.SolveNs, 10),
-		strconv.FormatInt(m.TotalNs, 10),
-	}
 }
 
 // PhaseStats aggregates one request phase: how many samples were recorded

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -241,36 +240,4 @@ func TestRequestMetricsOnEveryPath(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestRequestMetricsCSVRoundTrip pins the flat CSV contract: header and row
-// lengths match, and every numeric column survives a strconv round trip.
-func TestRequestMetricsCSVRoundTrip(t *testing.T) {
-	m := RequestMetrics{
-		Mode: "sync", CachePath: CacheMiss, BatchSize: 3,
-		QueueWaitNs: 100, BatchBuildNs: 200, SolveNs: 300, TotalNs: 700,
-	}
-	header, row := RequestMetricsCSVHeader(), m.CSVRow()
-	if len(header) != len(row) {
-		t.Fatalf("header has %d columns, row has %d", len(header), len(row))
-	}
-	want := map[string]string{
-		"mode": "sync", "cachePath": CacheMiss, "batchSize": "3",
-		"queueWaitNs": "100", "batchBuildNs": "200", "solveNs": "300", "totalNs": "700",
-	}
-	for i, col := range header {
-		w, ok := want[col]
-		if !ok {
-			t.Errorf("unexpected CSV column %q", col)
-			continue
-		}
-		if row[i] != w {
-			t.Errorf("column %s = %q, want %q", col, row[i], w)
-		}
-		if _, err := strconv.Atoi(w); err == nil {
-			if _, err := strconv.ParseInt(row[i], 10, 64); err != nil {
-				t.Errorf("column %s not numeric: %q", col, row[i])
-			}
-		}
-	}
 }

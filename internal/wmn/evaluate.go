@@ -17,8 +17,8 @@ const (
 	// individual coverage areas and is the default.
 	LinkCoverageOverlap LinkModel = iota + 1
 	// LinkUnitDisk links routers only when each can hear the other:
-	// d(i,j) ≤ min(r_i, r_j). A stricter, symmetric-reception rule kept
-	// for the link-model ablation.
+	// d(i,j) ≤ min(r_i, r_j). A stricter, symmetric-reception rule that
+	// fragments placements far more at the paper's radii.
 	LinkUnitDisk
 )
 

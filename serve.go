@@ -52,11 +52,6 @@ type (
 	ServerMetrics = server.MetricsSnapshot
 	// ServerPhaseStats aggregates one request phase inside ServerMetrics.
 	ServerPhaseStats = server.PhaseStats
-	// LoadgenConfig parameterizes RunLoadgen.
-	LoadgenConfig = server.LoadgenConfig
-	// LoadgenReport is the outcome of one load run: client-observed
-	// latency/throughput plus the target's ServerMetrics snapshot.
-	LoadgenReport = server.LoadgenReport
 )
 
 // Solver-plugin surface. Every solver kind — the built-ins and any
@@ -150,8 +145,3 @@ func DefaultServerConfig() ServerConfig { return server.DefaultConfig() }
 // deduplicated into one computation), GET /v1/jobs/{id}, GET /v1/solvers,
 // GET /v1/metrics and GET /healthz. Call Close to release its worker pool.
 func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
-
-// RunLoadgen drives a request load at a placement server (the library form
-// of `wmnplace loadgen`) and reports client-observed throughput and latency
-// alongside the server's own telemetry.
-func RunLoadgen(cfg LoadgenConfig) (*LoadgenReport, error) { return server.RunLoadgen(cfg) }
